@@ -70,6 +70,21 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for numeric flags: nan and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _beta_flag(text: str) -> str | float:
+    return text if text == "max" else _finite_float(text)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -447,13 +462,12 @@ def sweep_rows(cfg: SweepConfig) -> list[dict]:
 
 def cmd_sweep(args) -> int:
     eta_min, eta_max = _angles(args, ("eta_min", "eta_max"))
-    beta = args.beta if args.beta == "max" else float(args.beta)
     cfg = SweepConfig(
         alpha_steps=args.alpha_steps,
         eta_steps=args.eta_steps,
         eta_min=eta_min,
         eta_max=eta_max,
-        beta_policy=beta,
+        beta_policy=args.beta,
         resolution=args.quad_res,
         seed=args.seed,
         out=args.out,
@@ -545,13 +559,17 @@ def cmd_sample(args) -> int:
 # ----------------------------------------------------------------------
 
 def _add_geometry_flags(sub, with_state: bool = True) -> None:
-    sub.add_argument("--alpha", type=float, required=True, help="sharpness of the a component")
-    sub.add_argument("--beta", default="max",
+    sub.add_argument("--alpha", type=_finite_float, required=True,
+                     help="sharpness of the a component")
+    sub.add_argument("--beta", type=_beta_flag, default="max",
                      help="sharpness of the b component, or 'max' for the saturating value")
-    sub.add_argument("--eta", type=float, required=True, help="angle between the a and b axes")
+    sub.add_argument("--eta", type=_finite_float, required=True,
+                     help="angle between the a and b axes")
     if with_state:
-        sub.add_argument("--theta", type=float, default=0.0, help="polar Bloch angle of the input state")
-        sub.add_argument("--phi", type=float, default=0.0, help="azimuthal Bloch angle of the input state")
+        sub.add_argument("--theta", type=_finite_float, default=0.0,
+                         help="polar Bloch angle of the input state")
+        sub.add_argument("--phi", type=_finite_float, default=0.0,
+                         help="azimuthal Bloch angle of the input state")
     sub.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -572,11 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="tabulate fidelity surfaces over (alpha, eta)")
     p_sweep.add_argument("--alpha-steps", type=int, default=41)
     p_sweep.add_argument("--eta-steps", type=int, default=41)
-    p_sweep.add_argument("--eta-min", type=float, default=0.0)
-    p_sweep.add_argument("--eta-max", type=float, default=math.pi)
-    p_sweep.add_argument("--beta", default="max",
+    p_sweep.add_argument("--eta-min", type=_finite_float, default=0.0)
+    p_sweep.add_argument("--eta-max", type=_finite_float, default=math.pi)
+    p_sweep.add_argument("--beta", type=_beta_flag, default="max",
                          help="'max' (saturating) or a fixed numeric sharpness")
-    p_sweep.add_argument("--quad-res", type=int, default=fidelity.DEFAULT_RESOLUTION)
+    p_sweep.add_argument("--quad-res", type=int, default=fidelity.DEFAULT_RESOLUTION,
+                         help="Gauss-Legendre nodes in cos(theta); the default 2 is exact, "
+                              "higher values serve convergence studies")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="output path, '-' for stdout")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -589,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = subs.add_parser("sample", help="sample joint-measurement outcomes")
     _add_geometry_flags(p_sample)
-    p_sample.add_argument("--bloch-r", type=float, default=1.0,
+    p_sample.add_argument("--bloch-r", type=_finite_float, default=1.0,
                           help="Bloch vector length of the measured state (0 = maximally mixed)")
     p_sample.add_argument("--n", type=int, required=True, help="number of draws")
     p_sample.add_argument("--seed", type=int, default=0)

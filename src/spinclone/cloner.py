@@ -28,9 +28,10 @@ assignment, given the package eigenstate convention for a and b, that
 makes the basis orthonormal and maximizes the cloning fidelities; it is
 validated wholesale by the orthonormality check in the constructor, which
 fails loudly rather than produce silently wrong statistics.  Arbitrary
-axes are handled by rotating into the canonical frame and back, with a
-per-vector rephasing so the unitary keeps the signed product form above
-with respect to the package eigenstate conventions.
+axes are handled by conjugating the real canonical-frame unitary with
+V (x) V, V the SU(2) map back from the canonical frame.  Rotated canonical
+eigenstates differ from the package convention by phases that cancel in
+the unitary, so rephasing matters only for :func:`naimark_basis` vectors.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ def _inplane_pair(t: float) -> tuple[np.ndarray, np.ndarray]:
     """Spin eigenstates of an x-z plane axis at signed polar angle t.
 
     Matches spin_eigenstates for such axes, including the sign of zero in
-    the x component.
+    the x component; the amplitudes are real.
     """
     c, s = np.cos(t / 2), np.sin(t / 2)
-    return (np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex))
+    return (np.array([c, s]), np.array([-s, c]))
 
 
 def _frame_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,6 +187,45 @@ def _signed_angle(v: np.ndarray) -> float:
     return float(np.arctan2(v[0] + 0.0, v[2]))
 
 
+def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame map W = V (x) V plus the canonical-frame dilation and product vectors.
+
+    Rows of the real 4x4 ``vecs`` and ``prods`` are the dilation vectors and
+    the products |a_i>|b_j> in outcome order.  Raises :class:`OrthonormalityFailure`
+    if the Gram matrix of ``w @ vecs.T`` misses the identity by > ``ORTHONORMALITY_TOL``.
+    """
+    rot = _frame_rotation(g.a, g.b)
+    v = _su2_from_rotation(rot).conj().T
+    t_m, t_l, t_b = (_signed_angle(rot @ n) for n in (g.m, g.l, g.b))
+    half = 0.5 * (t_m - t_l)
+    cos_e, sin_e = -np.cos(half), np.sin(half)
+    m_plus, m_minus = _inplane_pair(t_m)
+    l_plus, l_minus = _inplane_pair(t_l)
+    a_pair = np.array(_inplane_pair(0.0))
+    b_pair = np.array(_inplane_pair(t_b))
+    a_plus, a_minus = a_pair
+    sp, sq = np.sqrt(g.p), np.sqrt(max(1.0 - g.p, 0.0))
+    # Row i holds the first-qubit factors paired with (|b+>, |b->) in
+    # vector i; the l eigenstates enter on the antipodal branch.
+    factors = np.array([
+        [sp * m_plus, sq * a_plus],
+        [-sq * l_plus, -sp * (cos_e * a_plus + sin_e * a_minus)],
+        [-sq * l_minus, sp * (sin_e * a_plus - cos_e * a_minus)],
+        [sp * m_minus, sq * a_minus],
+    ])
+    vecs = (factors.transpose(0, 2, 1) @ b_pair).reshape(4, 4)
+    prods = np.einsum("ij,kl->ikjl", a_pair, b_pair).reshape(4, 4)
+    w = np.einsum("ij,kl->ikjl", v, v).reshape(4, 4)
+    mapped = w @ vecs.T
+    residual = float(np.max(np.abs(mapped.conj().T @ mapped - np.eye(4))))
+    if not residual <= ORTHONORMALITY_TOL:
+        raise OrthonormalityFailure(
+            f"dilation basis Gram residual {residual:.3e} exceeds {ORTHONORMALITY_TOL:.0e}; "
+            "phase or frame convention is broken"
+        )
+    return w, vecs, prods
+
+
 def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
     """Construct the orthonormal dilation basis for a measurement geometry.
 
@@ -193,63 +233,20 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
     constructed vectors misses the identity by more than
     ``ORTHONORMALITY_TOL``.
     """
-    rot = _frame_rotation(g.a, g.b)
-    u = _su2_from_rotation(rot)
-    m_c, l_c, b_c = rot @ g.m, rot @ g.l, rot @ g.b
-    t_m = _signed_angle(m_c)
-    t_l = _signed_angle(l_c)
-    t_b = _signed_angle(b_c)
-    half = 0.5 * (t_m - t_l)
-    cos_e, sin_e = -np.cos(half), np.sin(half)
-
-    m_plus, m_minus = _inplane_pair(t_m)
-    l_plus, l_minus = _inplane_pair(t_l)
-    l_plus, l_minus = -l_plus, -l_minus
-    a_plus, a_minus = _inplane_pair(0.0)
-    b_plus, b_minus = _inplane_pair(t_b)
-
-    sp, sq = np.sqrt(g.p), np.sqrt(1.0 - g.p)
-    canonical = [
-        sp * np.kron(m_plus, b_plus) + sq * np.kron(a_plus, b_minus),
-        sq * np.kron(l_plus, b_plus) - sp * np.kron(cos_e * a_plus + sin_e * a_minus, b_minus),
-        sq * np.kron(l_minus, b_plus) + sp * np.kron(sin_e * a_plus - cos_e * a_minus, b_minus),
-        sp * np.kron(m_minus, b_plus) + sq * np.kron(a_minus, b_minus),
-    ]
-
-    u_back = u.conj().T
-    a_conv = spin_eigenstates(g.a)
-    b_conv = spin_eigenstates(g.b)
-    # Phase of the rotated canonical eigenstates relative to the package
-    # convention; dividing it out keeps the unitary in signed product form
-    # with respect to spin_eigenstates.
-    w_a = [np.vdot(a_conv[i], u_back @ st) for i, st in enumerate(_inplane_pair(0.0))]
-    w_b = [np.vdot(b_conv[j], u_back @ st) for j, st in enumerate(_inplane_pair(t_b))]
-    phases = [w_a[i] * w_b[j] for i in (0, 1) for j in (0, 1)]
-    rotate = np.kron(u_back, u_back)
-    vectors = []
-    for vec, ph in zip(canonical, phases):
-        out = (rotate @ vec) * (ph.conjugate() / abs(ph))
-        out.setflags(write=False)
-        vectors.append(out)
-
-    gram = np.array([[np.vdot(v, w) for w in vectors] for v in vectors])
-    residual = float(np.max(np.abs(gram - np.eye(4))))
-    if residual > ORTHONORMALITY_TOL:
-        raise OrthonormalityFailure(
-            f"dilation basis Gram residual {residual:.3e} exceeds {ORTHONORMALITY_TOL:.0e}; "
-            "phase or frame convention is broken"
-        )
+    w, vecs, prods = _canonical_dilation(g)
+    # Phase of each mapped canonical product state relative to spin_eigenstates;
+    # dividing it out keeps the unitary in signed product form in that convention.
+    phases = np.einsum("ij,ij->i", np.conj(product_basis(g)), prods @ w.T)
+    vectors = ((w @ vecs.T) * (phases.conj() / np.abs(phases))).T.copy()
+    vectors.setflags(write=False)
     return NaimarkBasis(*vectors)
 
 
 def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
-    """Two-qubit cloning unitary in the computational basis."""
-    basis = naimark_basis(g)
-    products = product_basis(g)
-    out = np.zeros((4, 4), dtype=complex)
-    for sign, prod, vec in zip(_CLONE_SIGNS, products, basis.vectors):
-        out += sign * np.outer(prod, vec.conj())
-    return out
+    """Two-qubit cloning unitary W U_c W^dag, U_c = sum_i s_i |prod_i><vec_i| real."""
+    w, vecs, prods = _canonical_dilation(g)
+    u_c = (prods.T * _CLONE_SIGNS) @ vecs
+    return w @ u_c @ w.conj().T
 
 
 def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:

@@ -2,12 +2,21 @@
 
 The quadrature rule for averaging over pure input states is
 Gauss-Legendre in cos(theta) crossed with a uniform (periodic trapezoid)
-grid in phi, with twice as many phi nodes as theta nodes.  Every averaged
-quantity here is a low-degree trigonometric polynomial of the Bloch
-angles, so the rule is exact to roundoff at the default resolution; the
-resolution stays configurable for convergence studies.  Node
+grid in phi, with twice as many phi nodes as theta nodes.  Node
 contributions are combined with numpy's pairwise summation, which is
 deterministic and independent of evaluation order.
+
+Every integrand of :func:`fidelity_report` is a polynomial of degree <= 3 in
+the input Bloch vector (at most cubic in |psi><psi|).  The default
+resolution 2 (2 cos(theta) by 4 phi nodes) averages all of them exactly,
+like a spherical 3-design (Delsarte, Goethals and Seidel, Geom. Dedicata 6,
+363 (1977)).  Proof: a monomial x^i y^j z^k with i+j+k <= 3 has phi-degree
+i+j <= 3, which the 4-node trapezoid rule integrates exactly; its phi
+average vanishes unless i and j are even, and what is left,
+(1-z^2)^((i+j)/2) z^k with z = cos(theta), has degree <= 3, which 2-node
+Gauss-Legendre integrates exactly.  Higher resolutions serve convergence
+studies; :func:`sphere_grid` and :func:`sphere_average` take any function
+and default to 64.
 
 The quadrature averages are the ground truth.  Closed-form expressions
 are evaluated verbatim and compared against quadrature; disagreements are
@@ -18,6 +27,7 @@ corrected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,60 +35,55 @@ from . import cloner, measurement
 from .linalg import as_density, as_state, spin_eigenstates
 from .measurement import MeasurementGeometry
 
-#: Number of Gauss-Legendre nodes in cos(theta); phi gets twice as many.
-DEFAULT_RESOLUTION = 64
+#: Gauss-Legendre nodes in cos(theta), phi gets twice as many; 2 is exact.
+DEFAULT_RESOLUTION = 2
 
 #: Closed form vs quadrature disagreements above this are flagged.
 DISCREPANCY_TOL = 1e-6
 
-_GRID_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
 
-
+@lru_cache(maxsize=8)
 def _grid_data(resolution: int) -> tuple[np.ndarray, ...]:
-    """Quadrature nodes plus cached geometry-independent derived arrays."""
+    """Quadrature nodes plus geometry-independent derived arrays, cached."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution!r}")
-    cached = _GRID_CACHE.get(resolution)
-    if cached is None:
-        nodes, gl_weights = np.polynomial.legendre.leggauss(resolution)
-        theta = np.arccos(nodes)
-        n_phi = 2 * resolution
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        th, ph = np.meshgrid(theta, phi, indexing="ij")
-        states = np.stack(
-            [np.cos(th / 2).ravel(),
-             np.exp(1j * ph.ravel()) * np.sin(th / 2).ravel()],
-            axis=1,
-        )
-        weights = np.repeat(gl_weights / 2.0, n_phi) / n_phi
-        states_conj = states.conj()
-        pair_conj = np.einsum("ni,nj->nij", states_conj, states_conj).reshape(-1, 4)
-        cross = states_conj[:, 0] * states[:, 1]
-        bloch = np.stack(
-            [2.0 * cross.real,
-             2.0 * cross.imag,
-             np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2],
-            axis=1,
-        )
-        cached = (states, weights, states_conj, pair_conj, bloch)
-        for arr in cached:
-            arr.setflags(write=False)
-        _GRID_CACHE[resolution] = cached
+    nodes, gl_weights = np.polynomial.legendre.leggauss(resolution)
+    theta = np.arccos(nodes)
+    n_phi = 2 * resolution
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    states = np.stack(
+        [np.cos(th / 2).ravel(),
+         np.exp(1j * ph.ravel()) * np.sin(th / 2).ravel()],
+        axis=1,
+    )
+    weights = np.repeat(gl_weights / 2.0, n_phi) / n_phi
+    states_conj = states.conj()
+    pair_conj = np.einsum("ni,nj->nij", states_conj, states_conj).reshape(-1, 4)
+    cross = states_conj[:, 0] * states[:, 1]
+    bloch = np.stack(
+        [2.0 * cross.real,
+         2.0 * cross.imag,
+         np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2],
+        axis=1,
+    )
+    cached = (states, weights, states_conj, pair_conj, bloch)
+    for arr in cached:
+        arr.setflags(write=False)
     return cached
 
 
-def sphere_grid(resolution: int = DEFAULT_RESOLUTION) -> tuple[np.ndarray, np.ndarray]:
+def sphere_grid(resolution: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes as pure states plus weights summing to one.
 
     States are (cos(theta/2), e^{i phi} sin(theta/2)) on the product grid
     of ``resolution`` Gauss-Legendre nodes in cos(theta) and
     ``2 * resolution`` uniform nodes in phi.
     """
-    states, weights = _grid_data(resolution)[:2]
-    return states, weights
+    return _grid_data(resolution)[:2]
 
 
-def sphere_average(f, resolution: int = DEFAULT_RESOLUTION) -> float:
+def sphere_average(f, resolution: int = 64) -> float:
     """Uniform average of a state-indexed function over all pure states.
 
     ``f`` takes a normalized length-2 complex state vector and returns a
@@ -223,10 +228,7 @@ def _quadrature_averages(g: MeasurementGeometry, resolution: int):
     a_dot, b_dot = bloch @ g.a, bloch @ g.b
     wa = 0.5 * np.stack([1 + a_dot, 1 - a_dot], axis=1)
     wb = 0.5 * np.stack([1 + b_dot, 1 - b_dot], axis=1)
-    prod_weights = np.stack(
-        [wa[:, 0] * wb[:, 0], wa[:, 0] * wb[:, 1], wa[:, 1] * wb[:, 0], wa[:, 1] * wb[:, 1]],
-        axis=1,
-    )
+    prod_weights = (wa[:, :, None] * wb[:, None, :]).reshape(-1, 4)
     f_m = np.einsum("nk,nk->n", born, prod_weights)
 
     return (

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 # Validation tolerance for unit norms, hermiticity, trace and positivity.
+# Checks are written as ``not (x <= ATOL)`` so that nan and inf fail them.
 ATOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -28,9 +29,8 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI, IDENTITY_2, IDENTITY_4):
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI, IDENTITY_2):
     _m.setflags(write=False)
 
 
@@ -40,7 +40,7 @@ def as_unit_vector(n) -> np.ndarray:
     if n.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {n.shape}")
     norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > ATOL:
+    if not abs(norm - 1.0) <= ATOL:
         raise ValueError(f"vector is not unit length: |n| = {norm!r}")
     return n
 
@@ -51,7 +51,7 @@ def as_state(psi, dim: int = 2) -> np.ndarray:
     if psi.shape != (dim,):
         raise ValueError(f"expected a state of dimension {dim}, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > ATOL:
+    if not abs(norm - 1.0) <= ATOL:
         raise ValueError(f"state is not normalized: |psi| = {norm!r}")
     return psi
 
@@ -64,12 +64,12 @@ def as_density(rho, dim: int = 2) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} operator, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > ATOL:
+    if not np.max(np.abs(rho - rho.conj().T)) <= ATOL:
         raise ValueError("operator is not hermitian")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > ATOL:
+    if not abs(tr - 1.0) <= ATOL:
         raise ValueError(f"operator does not have unit trace: tr = {tr!r}")
-    if np.linalg.eigvalsh(rho).min() < -ATOL:
+    if not np.linalg.eigvalsh(rho).min() >= -ATOL:
         raise ValueError("operator is not positive semidefinite")
     return rho
 
@@ -131,6 +131,7 @@ def density_from_bloch(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {c.shape}")
-    if np.linalg.norm(c) > 1.0 + ATOL:
-        raise ValueError("Bloch vector lies outside the unit ball")
+    norm = np.linalg.norm(c)
+    if not norm <= 1.0 + ATOL:
+        raise ValueError(f"Bloch vector lies outside the unit ball: |c| = {norm!r}")
     return 0.5 * (IDENTITY_2 + c[0] * SIGMA_X + c[1] * SIGMA_Y + c[2] * SIGMA_Z)

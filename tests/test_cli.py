@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,29 @@ def test_sweep_json_round_trips(capsys, tmp_path):
         assert row["discrepancy_flags"] == ""
 
 
+def test_sweep_default_resolution_matches_golden(capsys, tmp_path):
+    # golden_sweep_9x9.csv is `sweep --alpha-steps 9 --eta-steps 9 --quad-res 64`
+    # as computed with the 64 x 128 node rule before the 8-node rule became
+    # the default.
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, ["sweep", "--alpha-steps", "9", "--eta-steps", "9",
+                              "--out", str(out)])
+    assert code == 0
+    golden_path = Path(__file__).with_name("golden_sweep_9x9.csv")
+    with open(golden_path, newline="") as fh:
+        golden = list(csv.DictReader(fh))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(golden) == 81
+    for row, want in zip(rows, golden):
+        assert row["discrepancy_flags"] == want["discrepancy_flags"]
+        got = np.array([float(row[c]) for c in SWEEP_COLUMNS[:-1]])
+        ref = np.array([float(want[c]) for c in SWEEP_COLUMNS[:-1]])
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        finite = ~np.isnan(ref)
+        assert np.max(np.abs(got[finite] - ref[finite]), initial=0.0) <= 1e-13
+
+
 def test_sweep_rejects_invalid_range(capsys, tmp_path):
     out = tmp_path / "x.csv"
     code, _, err = run(capsys, [
@@ -146,6 +170,23 @@ def test_clone_degrees_matches_radians(capsys):
     _, out_deg, _ = run(capsys, ["clone", "--alpha", "0.6", "--eta", "90", "--degrees"])
     _, out_rad, _ = run(capsys, ["clone", "--alpha", "0.6", "--eta", str(math.pi / 2)])
     assert out_deg == out_rad
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["clone", "--alpha", "0.6"], "--eta"),
+    (["clone", "--eta", "1.0"], "--alpha"),
+    (["sample", "--alpha", "0.6", "--eta", "1.0", "--n", "10"], "--theta"),
+    (["sample", "--alpha", "0.6", "--eta", "1.0", "--n", "10"], "--bloch-r"),
+    (["sweep", "--out", "-"], "--eta-max"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flag_is_usage_error(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [f"{flag}={value}"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "finite" in err
 
 
 # ----------------------------------------------------------------------

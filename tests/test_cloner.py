@@ -4,11 +4,13 @@ import pytest
 import spinclone.cloner as cloner_module
 from spinclone import (
     OrthonormalityFailure,
+    beta_max,
     build_geometry,
     build_povm,
     clone_mixed,
     clone_pure,
     clone_unitary,
+    geometry_from_angles,
     joint_distribution,
     measure_and_prepare,
     naimark_basis,
@@ -84,6 +86,40 @@ def test_naimark_basis_detects_broken_convention(monkeypatch):
     monkeypatch.setattr(cloner_module, "_inplane_pair", corrupted)
     with pytest.raises(OrthonormalityFailure):
         naimark_basis(derived_geometry())
+
+
+def test_clone_unitary_detects_broken_convention(monkeypatch):
+    # clone_unitary runs its own Gram check; it does not build the
+    # rephased basis of naimark_basis.
+    original = cloner_module._inplane_pair
+
+    def corrupted(t):
+        plus, minus = original(t)
+        return plus, -minus
+
+    def unused(g):
+        raise AssertionError("clone_unitary must not call naimark_basis")
+
+    monkeypatch.setattr(cloner_module, "_inplane_pair", corrupted)
+    monkeypatch.setattr(cloner_module, "naimark_basis", unused)
+    with pytest.raises(OrthonormalityFailure):
+        clone_unitary(derived_geometry())
+
+
+def test_clone_unitary_matches_signed_product_reference():
+    # U = sum_i s_i |prod_i><vec_i| from the rephased basis, over the
+    # default sweep grid including alpha in {0, 1} and eta in {0, pi}.
+    worst = 0.0
+    for alpha in np.linspace(0.0, 1.0, 41):
+        for eta in np.linspace(0.0, np.pi, 41):
+            g = geometry_from_angles(alpha, beta_max(alpha, eta), eta)
+            reference = sum(
+                sign * np.outer(prod, vec.conj())
+                for sign, prod, vec in zip((1, 1, -1, -1), product_basis(g),
+                                           naimark_basis(g).vectors)
+            )
+            worst = max(worst, np.max(np.abs(clone_unitary(g) - reference)))
+    assert worst <= 1e-14
 
 
 def test_clone_unitary_is_unitary(rng):

@@ -25,7 +25,7 @@ from spinclone import (
 from spinclone.cloner import product_basis
 from spinclone import build_povm, joint_distribution, clone_unitary
 
-from conftest import random_pure_state
+from conftest import random_geometry, random_pure_state
 
 A_HAT = np.array([0.0, 0.0, 1.0])
 B_HAT = np.array([1.0, 0.0, 0.0])
@@ -118,6 +118,23 @@ def test_sphere_average_ancilla_clone_fidelity():
 def test_sphere_grid_weights_normalized():
     _, weights = sphere_grid(32)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grid_cache_is_bounded():
+    from spinclone.fidelity import _grid_data
+
+    for resolution in range(1, 21):
+        sphere_grid(resolution)
+    assert _grid_data.cache_info().currsize <= 8
+
+
+def test_default_rule_matches_fine_rule(rng):
+    # the default 8-node rule is exact for every averaged integrand
+    for _ in range(20):
+        g = random_geometry(rng)
+        coarse, fine = fidelity_report(g), fidelity_report(g, resolution=64)
+        for name in ("f_av_quad", "f_a_quad", "f_b_quad", "f_m_quad"):
+            assert getattr(coarse, name) == pytest.approx(getattr(fine, name), abs=1e-14)
 
 
 def test_report_matches_loop_average():

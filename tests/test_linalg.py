@@ -10,6 +10,7 @@ from spinclone import (
     tensor,
 )
 from spinclone import build_geometry, clone_pure
+from spinclone.linalg import as_density, as_state, as_unit_vector
 
 from conftest import random_density, random_pure_state, random_unit_vector
 
@@ -130,3 +131,15 @@ def test_bloch_round_trip(rng):
     for _ in range(200):
         c = random_unit_vector(rng) * rng.uniform(0, 1)
         assert np.max(np.abs(bloch_from_density(density_from_bloch(c)) - c)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validators_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="unit length"):
+        as_unit_vector([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not normalized"):
+        as_state([bad, 0.0])
+    with pytest.raises(ValueError, match="hermitian"), np.errstate(invalid="ignore"):
+        as_density(np.array([[bad, 0.0], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="unit ball"):
+        density_from_bloch([bad, 0.0, 0.0])
