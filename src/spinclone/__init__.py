@@ -22,7 +22,6 @@ from .linalg import (
 )
 from .measurement import (
     OUTCOME_LABELS,
-    DegenerateAxis,
     JointDistribution,
     MeasurementGeometry,
     NonSaturating,
@@ -30,6 +29,7 @@ from .measurement import (
     beta_max,
     build_geometry,
     build_povm,
+    chi_square,
     geometry_from_angles,
     joint_distribution,
     marginal_operators,

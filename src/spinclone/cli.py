@@ -8,8 +8,10 @@ clone   clone one pure state and print the full diagnostic record (JSON)
 sample  draw joint-measurement outcomes and chi-square them (JSON)
 
 Exit codes: 0 success, 1 invariant failure, 2 usage or configuration
-error.  All numeric output is serialized with 17 significant digits and
-is byte-identical across reruns with the same configuration and seed.
+error.  Size flags have upper bounds (``MAX_*`` below), checked at parse
+time like every other usage error.  All numeric output is serialized
+with 17 significant digits and is byte-identical across reruns with the
+same configuration and seed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import cloner, fidelity, linalg, measurement
 from .measurement import NonSaturating
@@ -33,6 +34,15 @@ SWEEP_COLUMNS = (
     "f_av_quad", "f_av_closed", "f_m_quad", "f_a_quad", "f_a_closed",
     "f_b_closed", "f_ma_closed", "f_mb_closed", "discrepancy_flags",
 )
+
+# Upper bounds on the size flags.  The work and memory of a run grow with
+# these sizes, so a mistyped value is refused before it starts, not after
+# it has run out of time or memory.  Each bound is far above the default.
+MAX_SWEEP_STEPS = 201   # sweep --alpha-steps, --eta-steps (default 41)
+MAX_QUAD_RES = 256      # sweep --quad-res (default 2; 64 in convergence tests)
+MAX_DRAWS = 10**9       # sample --n (multinomial draws cost the same for any n)
+MAX_TRIALS = 10_000     # check --trials (default 200)
+MAX_CHECK_GRID = 101    # check --grid (default 15)
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,21 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _int_in(low: int, high: int):
+    """argparse type for size flags: an integer in [low, high]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
+        return value
+
+    return parse
 
 
 def _beta_flag(text: str) -> str | float:
@@ -531,13 +556,7 @@ def cmd_sample(args) -> int:
     counts = measurement.sample_outcomes(rho, g, args.n, seed=args.seed)
     expected = measurement.joint_distribution(rho, measurement.build_povm(g)).as_array()
     observed = np.array([counts[k] for k in measurement.OUTCOME_LABELS], dtype=float)
-    supported = expected > 0
-    chi2 = float(np.sum(
-        (observed[supported] - args.n * expected[supported]) ** 2
-        / (args.n * expected[supported])
-    ))
-    dof = int(supported.sum()) - 1
-    p_value = float(stats.chi2.sf(chi2, dof)) if dof > 0 else 1.0
+    chi2, dof, p_value = measurement.chi_square(observed, expected)
     record = {
         "alpha": g.alpha,
         "beta": g.beta,
@@ -582,21 +601,26 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_check = subs.add_parser("check", help="run all invariant suites")
-    p_check.add_argument("--trials", type=int, default=200, help="random draws per suite")
-    p_check.add_argument("--grid", type=int, default=15, help="grid steps per axis for grid suites")
+    p_check.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=200,
+                         help=f"random draws per suite (1 to {MAX_TRIALS})")
+    p_check.add_argument("--grid", type=_int_in(1, MAX_CHECK_GRID), default=15,
+                         help=f"grid steps per axis for grid suites (1 to {MAX_CHECK_GRID})")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_check)
 
     p_sweep = subs.add_parser("sweep", help="tabulate fidelity surfaces over (alpha, eta)")
-    p_sweep.add_argument("--alpha-steps", type=int, default=41)
-    p_sweep.add_argument("--eta-steps", type=int, default=41)
+    p_sweep.add_argument("--alpha-steps", type=_int_in(2, MAX_SWEEP_STEPS), default=41,
+                         help=f"grid points in alpha (2 to {MAX_SWEEP_STEPS})")
+    p_sweep.add_argument("--eta-steps", type=_int_in(2, MAX_SWEEP_STEPS), default=41,
+                         help=f"grid points in eta (2 to {MAX_SWEEP_STEPS})")
     p_sweep.add_argument("--eta-min", type=_finite_float, default=0.0)
     p_sweep.add_argument("--eta-max", type=_finite_float, default=math.pi)
     p_sweep.add_argument("--beta", type=_beta_flag, default="max",
                          help="'max' (saturating) or a fixed numeric sharpness")
-    p_sweep.add_argument("--quad-res", type=int, default=fidelity.DEFAULT_RESOLUTION,
-                         help="Gauss-Legendre nodes in cos(theta); the default 2 is exact, "
-                              "higher values serve convergence studies")
+    p_sweep.add_argument("--quad-res", type=_int_in(1, MAX_QUAD_RES),
+                         default=fidelity.DEFAULT_RESOLUTION,
+                         help=f"Gauss-Legendre nodes in cos(theta) (1 to {MAX_QUAD_RES}); "
+                              "the default 2 is exact, higher values serve convergence studies")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="output path, '-' for stdout")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -611,7 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p_sample)
     p_sample.add_argument("--bloch-r", type=_finite_float, default=1.0,
                           help="Bloch vector length of the measured state (0 = maximally mixed)")
-    p_sample.add_argument("--n", type=int, required=True, help="number of draws")
+    p_sample.add_argument("--n", type=_int_in(1, MAX_DRAWS), required=True,
+                          help=f"number of draws (1 to {MAX_DRAWS})")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.set_defaults(func=cmd_sample)
 

@@ -19,6 +19,7 @@ and down along ``b``, and down along ``l`` as the reverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +46,6 @@ class NonSaturating(ValueError):
             "sharpness pair does not saturate the joint-measurement bound: "
             f"|alpha a + beta b| + |alpha a - beta b| - 2 = {residual:.3e}"
         )
-
-
-class DegenerateAxis(ValueError):
-    """Raised when an intermediate axis is undefined and no convention applies.
-
-    With the aliasing convention used by :func:`build_geometry` (the axis
-    with zero weight is set equal to the other one) every saturating input
-    is covered, so this is not raised in normal use; it is kept as part of
-    the public error contract.
-    """
 
 
 @dataclass(frozen=True)
@@ -242,3 +233,54 @@ def sample_outcomes(rho, g: MeasurementGeometry, n: int, seed: int = 0) -> dict[
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, probs)
     return dict(zip(OUTCOME_LABELS, (int(c) for c in counts)))
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Chi-square survival function P(X >= x) for 0 <= dof <= 3.
+
+    A four-outcome sample has at most 3 degrees of freedom, where the tail
+    has a closed form in :mod:`math` alone:
+
+        dof = 1:  erfc(sqrt(x/2))
+        dof = 2:  exp(-x/2)
+        dof = 3:  erfc(sqrt(x/2)) + sqrt(2x/pi) exp(-x/2)
+
+    ``dof = 0`` (a single supported outcome) gives 1.0.  Any other dof,
+    or a statistic that is negative or NaN, raises ``ValueError``.
+    """
+    if not x >= 0.0:
+        raise ValueError(f"chi-square statistic must be >= 0, got {x!r}")
+    if dof == 0:
+        return 1.0
+    if dof == 2:
+        return math.exp(-x / 2)
+    if dof not in (1, 3):
+        raise ValueError(f"closed-form chi-square tail covers dof 0..3, got {dof!r}")
+    tail = math.erfc(math.sqrt(x / 2))
+    if dof == 3 and x < math.inf:  # at x = inf the product is inf * 0 = nan
+        tail +=math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+    return tail
+
+
+def chi_square(counts, probs) -> tuple[float, int, float]:
+    """Pearson chi-square test of observed counts against probabilities.
+
+    Only outcomes of positive probability enter the statistic; ``dof`` is
+    their number minus one, and the p-value is :func:`chi2_sf`.  Returns
+    ``(statistic, dof, p_value)``.
+    """
+    observed = np.asarray(counts, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    if observed.ndim != 1 or observed.shape != probs.shape:
+        raise ValueError(
+            f"counts and probs must be 1-d of equal length, got shapes "
+            f"{observed.shape} and {probs.shape}"
+        )
+    n = observed.sum()
+    if not (np.all(observed >= 0) and n > 0):
+        raise ValueError("counts must be non-negative with a positive total")
+    supported = probs > 0
+    expected = n * probs[supported]
+    statistic = float(np.sum((observed[supported] - expected) ** 2 / expected))
+    dof = int(supported.sum()) - 1
+    return statistic, dof, chi2_sf(statistic, dof)

@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinclone.cli as cli_module
 import spinclone.cloner as cloner_module
-from spinclone.cli import SWEEP_COLUMNS, main
+from spinclone.cli import SWEEP_COLUMNS, build_parser, main
 from spinclone.cloner import NaimarkBasis
 
 
@@ -245,3 +249,84 @@ def test_unknown_command_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv,flag,limit", [
+    (["sweep", "--out", "-"], "--alpha-steps", cli_module.MAX_SWEEP_STEPS),
+    (["sweep", "--out", "-"], "--eta-steps", cli_module.MAX_SWEEP_STEPS),
+    (["sweep", "--out", "-"], "--quad-res", cli_module.MAX_QUAD_RES),
+    (["sample", "--alpha", "0.6", "--eta", "1.0"], "--n", cli_module.MAX_DRAWS),
+    (["check"], "--trials", cli_module.MAX_TRIALS),
+    (["check"], "--grid", cli_module.MAX_CHECK_GRID),
+])
+def test_size_flag_above_limit_is_usage_error(capsys, argv, flag, limit):
+    # Rejected while parsing, so no work starts; the limit itself is never run.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [flag, str(limit + 1)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert str(limit) in err
+
+
+def test_size_limits_admit_sizes_in_use():
+    parser = build_parser()
+    sweep = parser.parse_args(["sweep", "--out", "-", "--alpha-steps", "41",
+                               "--eta-steps", "41", "--quad-res", "64"])
+    assert (sweep.alpha_steps, sweep.eta_steps, sweep.quad_res) == (41, 41, 64)
+    sample = parser.parse_args(["sample", "--alpha", "0.6", "--eta", "1.0",
+                                "--n", "1000000"])
+    assert sample.n == 1000000
+    check = parser.parse_args(["check"])
+    assert (check.trials, check.grid) == (200, 15)
+
+
+# ----------------------------------------------------------------------
+# scipy is a test dependency only
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+# Runs ``python -m spinclone ARGV`` with every scipy import failing.
+BLOCK_SCIPY = """
+import runpy, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("the scipy blocker did not block")
+sys.argv = ["spinclone", *sys.argv[1:]]
+runpy.run_module("spinclone", run_name="__main__", alter_sys=True)
+"""
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["clone", "--alpha", "0.6", "--eta", "90", "--degrees", "--theta", "0.3"],
+    ["sample", "--alpha", "0.6", "--eta", "1.2", "--bloch-r", "0.5", "--n", "1000"],
+    ["check", "--trials", "5", "--grid", "3"],
+])
+def test_cli_runs_without_scipy(argv):
+    proc = _python("-c", BLOCK_SCIPY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _python("-c", "import sys, spinclone.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spinclone import (
     beta_max,
     build_geometry,
     build_povm,
+    chi_square,
     geometry_from_angles,
     joint_distribution,
     marginal_operators,
@@ -15,6 +18,7 @@ from spinclone import (
     sample_outcomes,
     spin_eigenstates,
 )
+from spinclone.measurement import chi2_sf
 
 from conftest import random_geometry, random_pure_state
 
@@ -244,6 +248,64 @@ def test_sample_outcomes_chi_square():
     expected = n * joint_distribution(np.outer(psi, psi.conj()), build_povm(g)).as_array()
     _, p_value = stats.chisquare(observed, expected)
     assert p_value > 0.001
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_chi2_sf_matches_scipy(dof):
+    from scipy import stats
+
+    grid = np.concatenate([[0.0], np.geomspace(1e-12, 300.0, 500), np.linspace(0.1, 300.0, 500)])
+    want = stats.chi2.sf(grid, dof)
+    got = np.array([chi2_sf(float(x), dof) for x in grid])
+    assert got[0] == want[0] == 1.0
+    resolved = want > 1e-300
+    assert np.max(np.abs(got - want)[resolved] / want[resolved]) <= 1e-12
+    assert chi2_sf(math.inf, dof) == stats.chi2.sf(math.inf, dof) == 0.0
+
+
+def test_chi2_sf_domain():
+    assert chi2_sf(12.5, 0) == 1.0
+    for dof in (-1, 4, 10):
+        with pytest.raises(ValueError, match="dof"):
+            chi2_sf(1.0, dof)
+    for x in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="statistic"):
+            chi2_sf(x, 2)
+
+
+def test_chi_square_statistic_matches_scipy(rng):
+    from scipy import stats
+
+    n = 10**5
+    for trial in range(50):
+        g = random_geometry(rng)
+        psi = random_pure_state(rng)
+        rho = np.outer(psi, psi.conj())
+        probs = joint_distribution(rho, build_povm(g)).as_array()
+        assert np.all(probs > 0)
+        counts = sample_outcomes(rho, g, n, seed=trial)
+        observed = [counts[k] for k in OUTCOME_LABELS]
+        statistic, dof, p_value = chi_square(observed, probs)
+        want_statistic, want_p = stats.chisquare(observed, n * probs)
+        assert dof == 3
+        assert statistic == pytest.approx(want_statistic, rel=1e-12, abs=1e-12)
+        assert p_value == pytest.approx(want_p, rel=1e-12, abs=1e-15)
+
+
+def test_chi_square_support_rule():
+    # Zero-probability outcomes are left out of the statistic and the dof.
+    assert chi_square([6, 4, 0, 0], [0.5, 0.5, 0.0, 0.0]) == (0.4, 1, chi2_sf(0.4, 1))
+    assert chi_square([0, 0, 9, 0], [0.0, 0.0, 1.0, 0.0]) == (0.0, 0, 1.0)
+
+
+def test_chi_square_rejects_bad_input():
+    with pytest.raises(ValueError, match="dof"):
+        chi_square([1, 2, 3, 4, 5], [0.2] * 5)
+    with pytest.raises(ValueError, match="shapes"):
+        chi_square([1, 2, 3], [0.25] * 4)
+    for counts in ([0, 0, 0, 0], [5, -1, 0, 0]):
+        with pytest.raises(ValueError, match="non-negative"):
+            chi_square(counts, [0.25] * 4)
 
 
 def test_optimality_lhs_sharp_single_axis():
