@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cloner, fidelity, linalg, measurement
-from .measurement import NonSaturating
 
 SWEEP_COLUMNS = (
     "alpha", "beta", "eta", "p", "epsilon",
@@ -53,7 +52,6 @@ class SweepConfig:
     eta_max: float
     beta_policy: str | float
     resolution: int
-    seed: int
     out: str
     fmt: str
 
@@ -195,8 +193,7 @@ def _random_state(rng) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-def run_checks(trials: int = 200, grid: int = 15, seed: int = 0,
-               resolution: int = 32) -> list[CheckResult]:
+def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckResult]:
     """Run every invariant suite; each result carries its worst residual."""
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
@@ -413,7 +410,7 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0,
         worst = 0.0
         for alpha, eta in ((0.2, 0.8), (0.6, math.pi / 2), (0.85, 2.4), (1.0, 0.0)):
             g = measurement.geometry_from_angles(alpha, measurement.beta_max(alpha, eta), eta)
-            report = fidelity.fidelity_report(g, resolution=resolution)
+            report = fidelity.fidelity_report(g)
             worst = max(
                 worst,
                 abs(report.f_b_quad - report.f_b_closed),
@@ -430,7 +427,7 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0,
                 g = measurement.geometry_from_angles(
                     alpha, measurement.beta_max(alpha, eta), eta
                 )
-                report = fidelity.fidelity_report(g, resolution=resolution)
+                report = fidelity.fidelity_report(g)
                 worst = max(worst, report.f_m_quad - report.f_av_quad)
         return max(worst, 0.0)
 
@@ -494,7 +491,6 @@ def cmd_sweep(args) -> int:
         eta_max=eta_max,
         beta_policy=args.beta,
         resolution=args.quad_res,
-        seed=args.seed,
         out=args.out,
         fmt=args.format,
     )
@@ -621,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=fidelity.DEFAULT_RESOLUTION,
                          help=f"Gauss-Legendre nodes in cos(theta) (1 to {MAX_QUAD_RES}); "
                               "the default 2 is exact, higher values serve convergence studies")
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="output path, '-' for stdout")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--degrees", action="store_true")

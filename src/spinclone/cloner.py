@@ -29,22 +29,24 @@ makes the basis orthonormal and maximizes the cloning fidelities; it is
 validated wholesale by the orthonormality check in the constructor, which
 fails loudly rather than produce silently wrong statistics.  Arbitrary
 axes are handled by conjugating the real canonical-frame unitary with
-V (x) V, V the SU(2) map back from the canonical frame.  Rotated canonical
+V (x) V, where V = [|a+>, |a->] diag(e^{-i chi/2}, e^{i chi/2}) is built
+from the package eigenstates of a and chi is the azimuth of b about a.
+V is unitary for every pair of axes, so (anti)parallel axes, where chi is
+undefined, need no special case: any chi gives a valid frame, and
+atan2(0, 0) = 0 picks one deterministically.  Mapped canonical
 eigenstates differ from the package convention by phases that cancel in
 the unitary, so rephasing matters only for :func:`naimark_basis` vectors.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    IDENTITY_2,
     as_density,
     as_state,
     bloch_from_density,
@@ -117,58 +119,25 @@ def _inplane_pair(t: float) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([c, s]), np.array([-s, c]))
 
 
-def _frame_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Proper rotation taking a to +z and b into the x-z plane, x >= 0.
+def _frame_map(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame rows (e1, e2, a) and the SU(2) map V taking z, x, y to a, e1, e2.
 
-    Rows are the right-handed triad (in-plane unit vector orthogonal to a,
-    plane normal, a).  When a and b are (anti)parallel the in-plane
-    direction is arbitrary and a deterministic perpendicular is chosen.
+    f1, f2 are the images of x, y under [|a+>, |a->] at the angles t, f that
+    spin_eigenstates uses for a; chi, the azimuth of b about a measured from
+    f1, turns them so that e1 lies along b's component orthogonal to a.
     """
-    e3 = a
-    b_perp = b - (a @ b) * a
-    norm = np.linalg.norm(b_perp)
-    if norm > 1e-12:
-        e1 = b_perp / norm
-    else:
-        probe = np.array([1.0, 0.0, 0.0]) if abs(a[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-        probe = probe - (probe @ a) * a
-        e1 = probe / np.linalg.norm(probe)
-    e2 = np.cross(e3, e1)
-    return np.stack([e1, e2, e3])
-
-
-def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
-    """SU(2) element u with u (n.sigma) u^dag = (rot n).sigma.
-
-    Quaternion extraction picks the numerically stable branch; the overall
-    quaternion sign is irrelevant downstream.
-    """
-    t = rot[0, 0] + rot[1, 1] + rot[2, 2]
-    if t > 0:
-        s = 2.0 * np.sqrt(t + 1.0)
-        w = 0.25 * s
-        x = (rot[2, 1] - rot[1, 2]) / s
-        y = (rot[0, 2] - rot[2, 0]) / s
-        z = (rot[1, 0] - rot[0, 1]) / s
-    elif rot[0, 0] >= rot[1, 1] and rot[0, 0] >= rot[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + rot[0, 0] - rot[1, 1] - rot[2, 2])
-        w = (rot[2, 1] - rot[1, 2]) / s
-        x = 0.25 * s
-        y = (rot[0, 1] + rot[1, 0]) / s
-        z = (rot[0, 2] + rot[2, 0]) / s
-    elif rot[1, 1] >= rot[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + rot[1, 1] - rot[0, 0] - rot[2, 2])
-        w = (rot[0, 2] - rot[2, 0]) / s
-        x = (rot[0, 1] + rot[1, 0]) / s
-        y = 0.25 * s
-        z = (rot[1, 2] + rot[2, 1]) / s
-    else:
-        s = 2.0 * np.sqrt(1.0 + rot[2, 2] - rot[0, 0] - rot[1, 1])
-        w = (rot[1, 0] - rot[0, 1]) / s
-        x = (rot[0, 2] + rot[2, 0]) / s
-        y = (rot[1, 2] + rot[2, 1]) / s
-        z = 0.25 * s
-    return w * IDENTITY_2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+    t = math.atan2(math.hypot(a[0], a[1]), a[2])
+    f = math.atan2(a[1], a[0])
+    ct, st, cf, sf = math.cos(t), math.sin(t), math.cos(f), math.sin(f)
+    f1 = np.array([ct * cf * cf + sf * sf, (ct - 1.0) * sf * cf, -st * cf])
+    f2 = np.array([(ct - 1.0) * sf * cf, ct * sf * sf + cf * cf, -st * sf])
+    chi = math.atan2(b @ f2, b @ f1)
+    cx, sx = math.cos(chi), math.sin(chi)
+    rows = np.stack([cx * f1 + sx * f2, cx * f2 - sx * f1, a])
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    u, w = cmath.exp(-0.5j * chi), cmath.exp(1j * (f - 0.5 * chi))
+    v = np.array([[c * u, -s * w.conjugate()], [s * w, c * u.conjugate()]])
+    return rows, v
 
 
 def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
@@ -194,8 +163,7 @@ def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray,
     the products |a_i>|b_j> in outcome order.  Raises :class:`OrthonormalityFailure`
     if the Gram matrix of ``w @ vecs.T`` misses the identity by > ``ORTHONORMALITY_TOL``.
     """
-    rot = _frame_rotation(g.a, g.b)
-    v = _su2_from_rotation(rot).conj().T
+    rot, v = _frame_map(g.a, g.b)
     t_m, t_l, t_b = (_signed_angle(rot @ n) for n in (g.m, g.l, g.b))
     half = 0.5 * (t_m - t_l)
     cos_e, sin_e = -np.cos(half), np.sin(half)

@@ -90,7 +90,8 @@ def spin_eigenstates(n) -> tuple[np.ndarray, np.ndarray]:
     module docstring; the pair is orthonormal.
     """
     n = as_unit_vector(n)
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
+    # atan2 keeps theta accurate near the poles, where arccos(n_z) loses digits
+    theta = np.arctan2(np.hypot(n[0], n[1]), n[2])
     phi = np.arctan2(n[1], n[0])
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     plus = np.array([c, np.exp(1j * phi) * s])

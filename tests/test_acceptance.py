@@ -259,7 +259,7 @@ def test_criterion_8_fidelity_surfaces(tmp_path):
     start = time.perf_counter()
     cfg = SweepConfig(
         alpha_steps=41, eta_steps=41, eta_min=0.0, eta_max=math.pi,
-        beta_policy="max", resolution=64, seed=0,
+        beta_policy="max", resolution=64,
         out=str(tmp_path / "sweep.csv"), fmt="csv",
     )
     rows = sweep_rows(cfg)

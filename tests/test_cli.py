@@ -245,6 +245,14 @@ def test_usage_error_exit_code():
     assert excinfo.value.code == 2
 
 
+def test_sweep_seed_flag_removed(capsys):
+    # sweep is deterministic and draws nothing, so it takes no --seed
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--seed", "1", "--out", "-"])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_unknown_command_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

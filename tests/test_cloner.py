@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spinclone.cloner as cloner_module
 from spinclone import (
+    NonSaturating,
     OrthonormalityFailure,
     beta_max,
     build_geometry,
@@ -36,6 +39,22 @@ def derived_geometry():
 def gram_residual(vectors):
     gram = np.array([[np.vdot(v, w) for w in vectors] for v in vectors])
     return np.max(np.abs(gram - np.eye(len(vectors))))
+
+
+def rodrigues(axis, angle):
+    """Rotation by angle about the unit axis, and its SU(2) lift exp(-i angle axis.sigma/2)."""
+    kx, ky, kz = axis
+    cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    rot = np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    lift = np.array([[c - 1j * s * kz, -1j * s * (kx - 1j * ky)],
+                     [-1j * s * (kx + 1j * ky), c + 1j * s * kz]])
+    return rot, lift
+
+
+def random_rotation(rng):
+    axis = rng.normal(size=3)
+    return rodrigues(axis / np.linalg.norm(axis), rng.uniform(0.0, 2 * np.pi))
 
 
 def test_naimark_basis_projective_limit():
@@ -268,3 +287,66 @@ def test_statistics_equivalence(rng):
         diag = np.array([np.vdot(p, prepared @ p).real for p in product_basis(g)])
         assert np.max(np.abs(coherent - born)) < 1e-10
         assert np.max(np.abs(diag - born)) < 1e-10
+
+
+def near_pole_frame(rng, tilt, flip):
+    """Frame whose third axis lies tilt rad off +z, or off -z when flip is set."""
+    axis = rng.normal(size=3)
+    rot = rodrigues(axis / np.linalg.norm(axis), tilt)[0]
+    return rot @ np.diag([1.0, -1.0, -1.0]) if flip else rot
+
+
+# Axes parallel or antiparallel to within 0 or 1e-15..1e-6 rad, in random
+# frames and in frames that put a next to a pole, with alpha at the edges
+# of [0, 1] as well as inside.
+_rngs = st.integers(0, 2**32 - 1).map(np.random.default_rng)
+
+
+def _powers_of_ten(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+_frames = st.one_of(
+    _rngs.map(lambda rng: random_rotation(rng)[0]),
+    st.builds(near_pole_frame, _rngs, _powers_of_ten(-12.0, -3.0), st.booleans()),
+)
+_alphas = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k),
+    st.floats(0.0, 1.0),
+)
+_offsets = st.one_of(st.just(0.0), _powers_of_ten(-15.0, -6.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(frame=_frames, alpha=_alphas, offset=_offsets, antiparallel=st.booleans(),
+       psi=_rngs.map(random_pure_state))
+def test_near_parallel_axes_give_valid_dilation(frame, alpha, offset, antiparallel, psi):
+    eta = np.pi - offset if antiparallel else offset
+    a = frame[:, 2]
+    b = np.sin(eta) * frame[:, 0] + np.cos(eta) * frame[:, 2]
+    try:
+        g = build_geometry(a, b, alpha, beta_max(alpha, np.arccos(np.clip(a @ b, -1.0, 1.0))))
+    except NonSaturating:
+        assume(False)
+    assert gram_residual(naimark_basis(g).vectors) <= 1e-12
+    u = clone_unitary(g)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+    born = joint_distribution(np.outer(psi, psi.conj()), build_povm(g)).as_array()
+    assert np.max(np.abs(clone_pure(g, psi).probabilities - born)) <= 1e-10
+
+
+def test_clone_unitary_rotation_covariance(rng):
+    # clone_unitary(R g) = (u x u) clone_unitary(g) (u x u)^dag, with R and
+    # its lift u built here, independently of the cloner's frame code.
+    checked = 0
+    while checked < 200:
+        g0 = random_geometry(rng)
+        if abs(np.cos(g0.eta)) > 0.999:
+            continue
+        rot, lift = random_rotation(rng)
+        g = build_geometry(rot @ g0.a, rot @ g0.b, g0.alpha, g0.beta)
+        w = np.kron(lift, lift)
+        expected = w @ clone_unitary(g0) @ w.conj().T
+        assert np.max(np.abs(clone_unitary(g) - expected)) <= 1e-13
+        checked += 1

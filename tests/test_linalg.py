@@ -74,6 +74,17 @@ def test_spin_eigenstates_eigenpairs(rng):
         assert abs(np.vdot(minus, minus) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("tilt", [1e-12, 1e-9, 1e-7, 1e-5, 1e-3])
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+def test_spin_eigenstates_near_poles(tilt, pole):
+    # an axis a tiny angle off +-z keeps its eigenstates: the polar angle
+    # must not come from arccos(n_z), which loses digits there
+    n = np.array([np.sin(tilt) * 0.6, np.sin(tilt) * 0.8, pole * np.cos(tilt)])
+    plus, minus = spin_eigenstates(n)
+    assert np.max(np.abs(bloch_from_density(np.outer(plus, plus.conj())) - n)) < 1e-15
+    assert np.max(np.abs(bloch_from_density(np.outer(minus, minus.conj())) + n)) < 1e-15
+
+
 def test_tensor_ordering():
     zero, one = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
     assert np.allclose(tensor(zero, zero), [1, 0, 0, 0])
