@@ -184,7 +184,7 @@ def _random_geometry(rng) -> measurement.MeasurementGeometry:
     b = rng.normal(size=3)
     b /= np.linalg.norm(b)
     alpha = rng.uniform(0.0, 1.0)
-    eta = float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+    eta = 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
     return measurement.build_geometry(a, b, alpha, measurement.beta_max(alpha, eta))
 
 

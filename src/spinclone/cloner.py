@@ -13,6 +13,8 @@ and the cloning unitary maps these onto signed product states:
 
     U = |a+>|b+><pp| + |a+>|b-><pm| - |a->|b+><mp| - |a->|b-><mm|.
 
+Every clone output comes from the 4x2 isometry K = U (1 (x) |b+>).
+
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
 measurements of the a component on the first output and the b component
@@ -46,14 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_density,
-    as_state,
-    bloch_from_density,
-    partial_trace,
-    spin_eigenstates,
-    tensor,
-)
+from .linalg import _bloch, _reduced, as_density, as_state, spin_eigenstates
 from .measurement import MeasurementGeometry, build_povm, joint_distribution
 
 #: Gram residual above which the basis constructor refuses to return.
@@ -146,9 +141,7 @@ def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
     These are the states prepared by the measure-and-prepare scheme and the
     basis in which clone amplitudes are reported.
     """
-    a_states = spin_eigenstates(g.a)
-    b_states = spin_eigenstates(g.b)
-    return [np.kron(a_states[i], b_states[j]) for i in (0, 1) for j in (0, 1)]
+    return list(np.kron(np.array(spin_eigenstates(g.a)), np.array(spin_eigenstates(g.b))))
 
 
 def _signed_angle(v: np.ndarray) -> float:
@@ -217,51 +210,40 @@ def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
     return w @ u_c @ w.conj().T
 
 
+def _isometry(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Clone isometry K = U (1 (x) |b+>), 4x2, and P^dag, whose rows are <a_i b_j|."""
+    blank = spin_eigenstates(g.b)[0]
+    return clone_unitary(g).reshape(4, 2, 2) @ blank, np.conj(product_basis(g))
+
+
+def _output(joint: np.ndarray, rho: np.ndarray, probabilities: np.ndarray,
+            lambdas: np.ndarray | None = None) -> CloneOutput:
+    """Package a clone whose two-qubit density operator is rho."""
+    rho_a, rho_b = _reduced(rho)
+    joint.setflags(write=False)
+    return CloneOutput(joint, rho_a, rho_b, _bloch(rho_a), _bloch(rho_b), probabilities, lambdas)
+
+
 def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
-    """Clone a pure state: apply the unitary to |psi> and the b+ ancilla.
+    """Clone a pure state: the output K|psi> is U applied to |psi> and the b+ ancilla.
 
     The product-basis weights of the output equal the joint outcome
     distribution of the measurement on psi.
     """
     psi = as_state(psi)
-    unitary = clone_unitary(g)
-    blank = spin_eigenstates(g.b)[0]
-    joint = unitary @ tensor(psi, blank)
-    lambdas = np.array([np.vdot(prod, joint) for prod in product_basis(g)])
-    rho = np.outer(joint, joint.conj())
-    rho_a = partial_trace(rho, keep=1)
-    rho_b = partial_trace(rho, keep=2)
-    joint.setflags(write=False)
-    return CloneOutput(
-        joint=joint,
-        rho_a=rho_a,
-        rho_b=rho_b,
-        bloch_a=bloch_from_density(rho_a),
-        bloch_b=bloch_from_density(rho_b),
-        probabilities=np.abs(lambdas) ** 2,
-        lambdas=lambdas,
-    )
+    k, p_dag = _isometry(g)
+    joint = k @ psi
+    lambdas = p_dag @ joint
+    return _output(joint, np.outer(joint, joint.conj()), np.abs(lambdas) ** 2, lambdas)
 
 
 def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
-    """Clone a mixed state by conjugating rho (x) |b+><b+| with the unitary."""
+    """Clone a mixed state: K rho K^dag, i.e. rho (x) |b+><b+| conjugated by the unitary."""
     rho = as_density(rho, dim=2)
-    unitary = clone_unitary(g)
-    blank = spin_eigenstates(g.b)[0]
-    joint = unitary @ np.kron(rho, np.outer(blank, blank.conj())) @ unitary.conj().T
-    probs = np.array([np.vdot(prod, joint @ prod).real for prod in product_basis(g)])
-    rho_a = partial_trace(joint, keep=1)
-    rho_b = partial_trace(joint, keep=2)
-    joint.setflags(write=False)
-    return CloneOutput(
-        joint=joint,
-        rho_a=rho_a,
-        rho_b=rho_b,
-        bloch_a=bloch_from_density(rho_a),
-        bloch_b=bloch_from_density(rho_b),
-        probabilities=probs,
-        lambdas=None,
-    )
+    k, p_dag = _isometry(g)
+    joint = k @ rho @ k.conj().T
+    probs = np.einsum("ij,jk,ik->i", p_dag, joint, p_dag.conj()).real
+    return _output(joint, joint, probs)
 
 
 def measure_and_prepare(g: MeasurementGeometry, psi) -> np.ndarray:

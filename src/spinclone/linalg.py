@@ -113,18 +113,25 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     keeps the second.
     """
     rho = as_density(rho, dim=4)
-    r = rho.reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.trace(r, axis1=1, axis2=3)
-    if keep == 2:
-        return np.trace(r, axis1=0, axis2=2)
-    raise ValueError("keep must be 1 or 2")
+    if keep not in (1, 2):
+        raise ValueError("keep must be 1 or 2")
+    return _reduced(rho)[keep - 1]
+
+
+def _reduced(rho4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced states (rho_1, rho_2) of a 4x4 operator, without validation."""
+    r = rho4.reshape(2, 2, 2, 2)
+    return np.trace(r, axis1=1, axis2=3), np.trace(r, axis1=0, axis2=2)
 
 
 def bloch_from_density(rho) -> np.ndarray:
     """Bloch vector (tr(rho sigma_x), tr(rho sigma_y), tr(rho sigma_z))."""
-    rho = as_density(rho, dim=2)
-    return np.real(np.einsum("kij,ji->k", PAULI, rho))
+    return _bloch(as_density(rho, dim=2))
+
+
+def _bloch(rho2: np.ndarray) -> np.ndarray:
+    """Bloch vector of a 2x2 operator, without validation."""
+    return np.real(np.einsum("kij,ji->k", PAULI, rho2))
 
 
 def density_from_bloch(c) -> np.ndarray:

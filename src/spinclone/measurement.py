@@ -114,17 +114,22 @@ def optimality_lhs(alpha: float, beta: float, eta: float) -> float:
 def beta_max(alpha: float, eta: float) -> float:
     """Largest b-sharpness compatible with a given alpha and axis angle.
 
-    The saturating value is beta^2 = (1 - alpha^2) / (1 - alpha^2 cos^2 eta).
-    The expression degenerates to 0/0 only when alpha = 1 and the axes are
-    (anti)parallel; there both components can be sharp, so 1 is returned.
+    The saturating value is beta^2 = (1 - alpha^2) / (1 - alpha^2 cos^2 eta),
+    evaluated as num / (num + (alpha sin eta)^2) with num = (1 - alpha)(1 + alpha)
+    so that neither term cancels near alpha = 1 or near (anti)parallel axes.
+    It degenerates to 0/0 only when alpha = 1 and the axes are (anti)parallel;
+    there both components can be sharp, so 1 is returned.
     """
     if not 0.0 <= alpha <= 1.0 + ATOL:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
     alpha = min(alpha, 1.0)
-    denom = 1.0 - (alpha * np.cos(eta)) ** 2
-    if denom < 1e-15:
+    num = (1.0 - alpha) * (1.0 + alpha)
+    cross = (alpha * math.sin(eta)) ** 2
+    if num == 0.0 and cross <= 1e-30:
         return 1.0
-    return float(np.sqrt((1.0 - alpha * alpha) / denom))
+    return math.sqrt(num / (num + cross))
 
 
 def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
@@ -143,7 +148,8 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not -ATOL <= val <= 1.0 + ATOL:
             raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
-    eta = float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+    # atan2 of the chord lengths keeps angles that arccos(a.b) rounds to 0 or pi
+    eta = 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
     vec_sum = alpha * a + beta * b
     vec_diff = alpha * a - beta * b
     p = 0.5 * float(np.linalg.norm(vec_sum))
@@ -162,7 +168,7 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
     else:
         m = vec_sum / (2.0 * p)
         l = vec_diff / (2.0 * q)
-    epsilon = 0.5 * float(np.arccos(np.clip(m @ l, -1.0, 1.0)))
+    epsilon = math.atan2(np.linalg.norm(m - l), np.linalg.norm(m + l))
     for arr in (a, b, m, l):
         arr.setflags(write=False)
     return MeasurementGeometry(

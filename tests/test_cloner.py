@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 import spinclone.cloner as cloner_module
 from spinclone import (
+    CloneOutput,
     NonSaturating,
     OrthonormalityFailure,
     beta_max,
+    bloch_from_density,
     build_geometry,
     build_povm,
     clone_mixed,
@@ -17,10 +21,12 @@ from spinclone import (
     joint_distribution,
     measure_and_prepare,
     naimark_basis,
+    partial_trace,
     spin_eigenstates,
     tensor,
 )
 from spinclone.cloner import product_basis
+from spinclone.linalg import as_density
 
 from conftest import random_density, random_geometry, random_pure_state
 
@@ -350,3 +356,69 @@ def test_clone_unitary_rotation_covariance(rng):
         expected = w @ clone_unitary(g0) @ w.conj().T
         assert np.max(np.abs(clone_unitary(g) - expected)) <= 1e-13
         checked += 1
+
+
+_etas = st.one_of(
+    st.sampled_from([0.0, np.pi]),
+    st.integers(1, 15).map(lambda k: 10.0**-k),
+    st.integers(1, 15).map(lambda k: np.pi - 10.0**-k),
+    st.floats(0.0, np.pi),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(alpha=_alphas, eta=_etas)
+def test_frontier_gives_valid_dilation(alpha, eta):
+    g = geometry_from_angles(alpha, beta_max(alpha, eta), eta)
+    assert gram_residual(naimark_basis(g).vectors) <= 1e-12
+    u = clone_unitary(g)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+
+
+def reference_clone(g, psi=None, rho=None):
+    """Clone through the 4x4 unitary, kron products and checked partial traces."""
+    a_states, b_states = spin_eigenstates(g.a), spin_eigenstates(g.b)
+    prods = product_basis(g)
+    for (i, j), prod in zip([(0, 0), (0, 1), (1, 0), (1, 1)], prods):
+        assert np.array_equal(prod, np.kron(a_states[i], b_states[j]))
+    unitary = clone_unitary(g)
+    blank = b_states[0]
+    if rho is None:
+        joint = unitary @ np.kron(psi, blank)
+        lambdas = np.array([np.vdot(prod, joint) for prod in prods])
+        full, probs = np.outer(joint, joint.conj()), np.abs(lambdas) ** 2
+    else:
+        joint = unitary @ np.kron(rho, np.outer(blank, blank.conj())) @ unitary.conj().T
+        lambdas, full = None, joint
+        probs = np.array([np.vdot(prod, joint @ prod).real for prod in prods])
+    rho_a, rho_b = partial_trace(full, keep=1), partial_trace(full, keep=2)
+    return CloneOutput(joint, rho_a, rho_b, bloch_from_density(rho_a),
+                       bloch_from_density(rho_b), probs, lambdas)
+
+
+def edge_geometries(rng):
+    """(Anti)parallel axes to within 0..1e-6 rad, in random and near-pole frames."""
+    for alpha in (0.0, 0.5, 1.0 - 1e-8, 1.0):
+        for offset in (0.0, 1e-15, 1e-9, 1e-6):
+            for antiparallel in (False, True):
+                for frame in (random_rotation(rng)[0], near_pole_frame(rng, 1e-9, antiparallel)):
+                    eta = np.pi - offset if antiparallel else offset
+                    b = np.sin(eta) * frame[:, 0] + np.cos(eta) * frame[:, 2]
+                    yield build_geometry(frame[:, 2], b, alpha, beta_max(alpha, eta))
+
+
+def test_clone_matches_unitary_reference(rng):
+    geometries = [random_geometry(rng) for _ in range(250)] + list(edge_geometries(rng))
+    for g in geometries:
+        psi, rho = random_pure_state(rng), random_density(rng)
+        pure, mixed = clone_pure(g, psi), clone_mixed(g, rho)
+        for out, ref in ((pure, reference_clone(g, psi=psi)), (mixed, reference_clone(g, rho=rho))):
+            for field in dataclasses.fields(CloneOutput):
+                got, want = getattr(out, field.name), getattr(ref, field.name)
+                if want is None:
+                    assert got is None
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-13, field.name
+            as_density(out.rho_a)
+            as_density(out.rho_b)
+        as_density(mixed.joint, dim=4)

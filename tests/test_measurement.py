@@ -10,6 +10,7 @@ from spinclone import (
     build_geometry,
     build_povm,
     chi_square,
+    clone_unitary,
     geometry_from_angles,
     joint_distribution,
     marginal_operators,
@@ -62,6 +63,31 @@ def test_beta_max_matches_bisection_oracle(rng):
         closed = beta_max(alpha, eta)
         assert closed == pytest.approx(bisect_beta_max(alpha, eta), abs=1e-9)
         assert abs(optimality_lhs(alpha, closed, eta) - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("alpha, eta", [(1.0, 1e-9), (1.0, np.pi - 1e-9), (1.0 - 1e-8, 1e-8)])
+def test_beta_max_frontier_corners_build(alpha, eta):
+    g = geometry_from_angles(alpha, beta_max(alpha, eta), eta)
+    u = clone_unitary(g)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_beta_max_rejects_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        beta_max(0.5, eta)
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-12])
+@pytest.mark.parametrize("antiparallel", [False, True])
+def test_build_geometry_resolves_tiny_axis_angles(delta, antiparallel):
+    # a.b rounds to +-1 at these angles, so arccos(a.b) reads exactly 0 or pi.
+    b = np.array([np.sin(delta), 0.0, -np.cos(delta) if antiparallel else np.cos(delta)])
+    eta = np.pi - delta if antiparallel else delta
+    g = build_geometry(A_HAT, b, 0.5, beta_max(0.5, eta))
+    offset = np.pi - g.eta if antiparallel else g.eta
+    # near pi, g.eta itself is only known to the spacing of floats at pi
+    assert offset == pytest.approx(delta, rel=1e-6, abs=2 * np.spacing(np.pi))
 
 
 def test_build_geometry_equal_sharpness_half_angle():
