@@ -129,7 +129,8 @@ def _json_value(v) -> str:
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_value(x) for x in v) + "]"
     if isinstance(v, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_value(x)}" for k, x in v.items()) + "}"
+        items = (f"{json.dumps(str(k))}: {_json_value(x)}" for k, x in v.items())
+        return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
@@ -178,261 +179,206 @@ def _bloch_state(theta: float, phi: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # check
 
-def _random_geometry(rng) -> measurement.MeasurementGeometry:
-    a = rng.normal(size=3)
-    a /= np.linalg.norm(a)
-    b = rng.normal(size=3)
-    b /= np.linalg.norm(b)
-    alpha = rng.uniform(0.0, 1.0)
-    eta = 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
-    return measurement.build_geometry(a, b, alpha, measurement.beta_max(alpha, eta))
-
-
-def _random_state(rng) -> np.ndarray:
-    raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return raw / np.linalg.norm(raw)
+def _transfer_residuals(g, c_in: np.ndarray, out, normal: np.ndarray) -> dict:
+    """Bloch-transfer residuals for input Bloch vector c_in and unit plane normal n:
+    a.c_a = alpha a.c_in, b.c_b = beta b.c_in, n.c_a = sqrt(1 - beta^2) n.c_in, n.c_b = 0."""
+    return {
+        "axis_a_transfer": abs(g.a @ out.bloch_a - g.alpha * (g.a @ c_in)),
+        "axis_b_transfer": abs(g.b @ out.bloch_b - g.beta * (g.b @ c_in)),
+        "normal_transfer_a": abs(
+            normal @ out.bloch_a - math.sqrt(max(1 - g.beta**2, 0.0)) * (normal @ c_in)
+        ),
+        "normal_component_b": abs(normal @ out.bloch_b),
+    }
 
 
 def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckResult]:
-    """Run every invariant suite; each result carries its worst residual."""
+    """Run every invariant suite and return one result per suite, in a fixed order.
+
+    A suite is a name, a tolerance, a residual function and its samples:
+    ``trials`` random axes, Bloch vectors, densities or random-frame
+    geometries (with states), the ``grid`` x ``grid`` canonical (alpha, eta)
+    grid, or four fixed points.  Its residual is the largest value of the
+    function over the samples, floored at 0, and NaN if any value is NaN; the
+    suite passes when that is within the tolerance.  A suite that raises gets
+    an infinite residual and the exception as its note.  Random samples are
+    drawn lazily, suite by suite, from one generator seeded with ``seed``.
+    """
+    for arg, value in (("trials", trials), ("grid", grid)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{arg} must be an integer >= 1, got {value!r}")
     rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
+    axes = rng.normal(size=(trials, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    pairs = [(alpha, eta) for alpha in np.linspace(0.0, 1.0, grid)
+             for eta in np.linspace(0.0, math.pi, grid)]
 
-    def record(name: str, tolerance: float, fn) -> None:
-        try:
-            residual = float(fn())
-            note = ""
-        except Exception as exc:  # a crash counts as a failed invariant
-            residual = float("inf")
-            note = f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, residual, tolerance, note))
-
-    unit_vecs = rng.normal(size=(trials, 3))
-    unit_vecs /= np.linalg.norm(unit_vecs, axis=1, keepdims=True)
-
-    def pauli_square():
-        return max(
-            np.max(np.abs(linalg.pauli_dot(n) @ linalg.pauli_dot(n) - linalg.IDENTITY_2))
-            for n in unit_vecs
-        )
-
-    record("pauli square is identity", 1e-12, pauli_square)
-
-    def eigenstates():
-        worst = 0.0
-        for n in unit_vecs:
-            plus, minus = linalg.spin_eigenstates(n)
-            op = linalg.pauli_dot(n)
-            worst = max(
-                worst,
-                np.linalg.norm(op @ plus - plus),
-                np.linalg.norm(op @ minus + minus),
-                abs(np.vdot(plus, minus)),
-                abs(np.vdot(plus, plus) - 1),
-                abs(np.vdot(minus, minus) - 1),
-            )
-        return worst
-
-    record("spin eigenstates orthonormal eigenpairs", 1e-12, eigenstates)
-
-    def bloch_round_trip():
-        worst = 0.0
+    def bloch_vectors():
         for _ in range(trials):
             c = rng.normal(size=3)
-            c *= rng.uniform(0, 1) / np.linalg.norm(c)
-            back = linalg.bloch_from_density(linalg.density_from_bloch(c))
-            worst = max(worst, np.max(np.abs(back - c)))
-        return worst
+            yield c * (rng.uniform(0, 1) / np.linalg.norm(c))
 
-    record("bloch round trip", 1e-12, bloch_round_trip)
-
-    def trace_preserved():
-        worst = 0.0
+    def densities():
         for _ in range(trials):
             raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = raw @ raw.conj().T
-            rho /= np.trace(rho).real
-            for keep in (1, 2):
-                worst = max(worst, abs(np.trace(linalg.partial_trace(rho, keep)).real - 1))
-        return worst
+            yield rho / np.trace(rho).real
 
-    record("partial trace preserves trace", 1e-12, trace_preserved)
+    def frames():
+        """Saturating geometries with random axes and random alpha."""
+        for _ in range(trials):
+            a = rng.normal(size=3)
+            a /= np.linalg.norm(a)
+            b = rng.normal(size=3)
+            b /= np.linalg.norm(b)
+            alpha = rng.uniform(0.0, 1.0)
+            eta = 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+            yield measurement.build_geometry(a, b, alpha, measurement.beta_max(alpha, eta))
 
-    alphas = np.linspace(0.0, 1.0, grid)
-    etas = np.linspace(0.0, math.pi, grid)
+    def with_states(geometries):
+        """Pair each geometry with a random pure state, drawn after the geometry."""
+        for g in geometries:
+            raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+            yield g, raw / np.linalg.norm(raw)
 
-    def grid_geometries():
-        for alpha in alphas:
-            for eta in etas:
-                yield measurement.geometry_from_angles(
-                    alpha, measurement.beta_max(alpha, eta), eta
-                )
+    def canonical(points):
+        return (measurement.geometry_from_angles(alpha, measurement.beta_max(alpha, eta), eta)
+                for alpha, eta in points)
 
-    def povm_completeness():
+    def pauli_square(n):
+        return np.max(np.abs(linalg.pauli_dot(n) @ linalg.pauli_dot(n) - linalg.IDENTITY_2))
+
+    def eigenpairs(n):
+        plus, minus = linalg.spin_eigenstates(n)
+        op = linalg.pauli_dot(n)
         return max(
-            np.max(np.abs(sum(measurement.build_povm(g).elements) - linalg.IDENTITY_2))
-            for g in grid_geometries()
+            np.linalg.norm(op @ plus - plus),
+            np.linalg.norm(op @ minus + minus),
+            abs(np.vdot(plus, minus)),
+            abs(np.vdot(plus, plus) - 1),
+            abs(np.vdot(minus, minus) - 1),
         )
 
-    record("povm completeness", 1e-12, povm_completeness)
+    def bloch_round_trip(c):
+        return np.max(np.abs(linalg.bloch_from_density(linalg.density_from_bloch(c)) - c))
 
-    def povm_positivity():
-        worst = 0.0
-        for g in grid_geometries():
-            for e in measurement.build_povm(g).elements:
-                worst = max(worst, -float(np.linalg.eigvalsh(e).min()))
-        return max(worst, 0.0)
+    def trace_preserved(rho):
+        return max(abs(np.trace(linalg.partial_trace(rho, keep)).real - 1) for keep in (1, 2))
 
-    record("povm positivity", 1e-12, povm_positivity)
+    def povm_completeness(g):
+        return np.max(np.abs(sum(measurement.build_povm(g).elements) - linalg.IDENTITY_2))
 
-    def saturation():
+    def povm_negativity(g):
+        return max(-float(np.linalg.eigvalsh(e).min()) for e in measurement.build_povm(g).elements)
+
+    def saturation(pair):
+        alpha, eta = pair
+        return abs(measurement.optimality_lhs(alpha, measurement.beta_max(alpha, eta), eta) - 2.0)
+
+    def unbiasedness(draw):
+        g, psi = draw
+        rho = np.outer(psi, psi.conj())
+        (ap, am), (bp, bm) = measurement.marginal_operators(measurement.build_povm(g))
+        got_a = np.trace(rho @ (ap - am)).real
+        want_a = g.alpha * np.trace(rho @ linalg.pauli_dot(g.a)).real
+        got_b = np.trace(rho @ (bp - bm)).real
+        want_b = g.beta * np.trace(rho @ linalg.pauli_dot(g.b)).real
+        return max(abs(got_a - want_a), abs(got_b - want_b))
+
+    def rank_one_form(g):
+        povm = measurement.build_povm(g)
+        m_plus, m_minus = linalg.spin_eigenstates(g.m)
+        l_plus, l_minus = linalg.spin_eigenstates(g.l)
         return max(
-            abs(measurement.optimality_lhs(a, measurement.beta_max(a, e), e) - 2.0)
-            for a in alphas
-            for e in etas
-        )
-
-    record("saturation at maximal sharpness", 1e-9, saturation)
-
-    def unbiasedness():
-        worst = 0.0
-        for _ in range(trials):
-            g = _random_geometry(rng)
-            psi = _random_state(rng)
-            rho = np.outer(psi, psi.conj())
-            (ap, am), (bp, bm) = measurement.marginal_operators(measurement.build_povm(g))
-            got_a = np.trace(rho @ (ap - am)).real
-            want_a = g.alpha * np.trace(rho @ linalg.pauli_dot(g.a)).real
-            got_b = np.trace(rho @ (bp - bm)).real
-            want_b = g.beta * np.trace(rho @ linalg.pauli_dot(g.b)).real
-            worst = max(worst, abs(got_a - want_a), abs(got_b - want_b))
-        return worst
-
-    record("marginal unbiasedness", 1e-10, unbiasedness)
-
-    def rank_one_form():
-        worst = 0.0
-        for _ in range(trials):
-            g = _random_geometry(rng)
-            povm = measurement.build_povm(g)
-            m_plus, m_minus = linalg.spin_eigenstates(g.m)
-            l_plus, l_minus = linalg.spin_eigenstates(g.l)
+            np.max(np.abs(element - weight * np.outer(state, state.conj())))
             for element, weight, state in (
                 (povm.pp, g.p, m_plus),
                 (povm.mm, g.p, m_minus),
                 (povm.pm, 1 - g.p, l_plus),
                 (povm.mp, 1 - g.p, l_minus),
-            ):
-                worst = max(
-                    worst, np.max(np.abs(element - weight * np.outer(state, state.conj())))
-                )
-        return worst
-
-    record("povm rank-one form", 1e-12, rank_one_form)
-
-    def dilation_orthonormality():
-        worst = 0.0
-        for _ in range(trials):
-            basis = cloner.naimark_basis(_random_geometry(rng))
-            gram = np.array([[np.vdot(v, w) for w in basis.vectors] for v in basis.vectors])
-            worst = max(worst, np.max(np.abs(gram - np.eye(4))))
-        return worst
-
-    record("dilation orthonormality", 1e-12, dilation_orthonormality)
-
-    def dilation_born():
-        worst = 0.0
-        for _ in range(trials):
-            g = _random_geometry(rng)
-            basis = cloner.naimark_basis(g)
-            povm = measurement.build_povm(g)
-            psi = _random_state(rng)
-            full = np.kron(psi, linalg.spin_eigenstates(g.b)[0])
-            for vec, element in zip(basis.vectors, povm.elements):
-                worst = max(
-                    worst,
-                    abs(abs(np.vdot(vec, full)) ** 2 - np.vdot(psi, element @ psi).real),
-                )
-        return worst
-
-    record("dilation reproduces born probabilities", 1e-10, dilation_born)
-
-    def unitarity():
-        worst = 0.0
-        for _ in range(trials):
-            u = cloner.clone_unitary(_random_geometry(rng))
-            worst = max(worst, np.max(np.abs(u.conj().T @ u - np.eye(4))))
-        return worst
-
-    record("cloning unitary unitarity", 1e-12, unitarity)
-
-    def statistics_equivalence():
-        worst = 0.0
-        for _ in range(trials):
-            g = _random_geometry(rng)
-            psi = _random_state(rng)
-            born = measurement.joint_distribution(
-                np.outer(psi, psi.conj()), measurement.build_povm(g)
-            ).as_array()
-            clone_probs = cloner.clone_pure(g, psi).probabilities
-            prepared = cloner.measure_and_prepare(g, psi)
-            diag = np.array(
-                [np.vdot(prod, prepared @ prod).real for prod in cloner.product_basis(g)]
             )
-            worst = max(worst, np.max(np.abs(clone_probs - born)), np.max(np.abs(diag - born)))
-        return worst
+        )
 
-    record("statistics equivalence across schemes", 1e-10, statistics_equivalence)
+    def dilation_orthonormality(g):
+        basis = cloner.naimark_basis(g)
+        gram = np.array([[np.vdot(v, w) for w in basis.vectors] for v in basis.vectors])
+        return np.max(np.abs(gram - np.eye(4)))
 
-    def bloch_transfer():
-        worst = 0.0
-        for _ in range(trials):
-            g = _random_geometry(rng)
-            if abs(np.sin(g.eta)) < 1e-6:
-                continue
-            psi = _random_state(rng)
-            out = cloner.clone_pure(g, psi)
-            c_in = linalg.bloch_from_density(np.outer(psi, psi.conj()))
-            normal = np.cross(g.a, g.b)
-            normal /= np.linalg.norm(normal)
-            worst = max(
-                worst,
-                abs(g.a @ out.bloch_a - g.alpha * (g.a @ c_in)),
-                abs(g.b @ out.bloch_b - g.beta * (g.b @ c_in)),
-                abs(normal @ out.bloch_a - math.sqrt(1 - g.beta**2) * (normal @ c_in)),
-                abs(normal @ out.bloch_b),
-            )
-        return worst
+    def dilation_born(draw):
+        g, psi = draw
+        basis = cloner.naimark_basis(g)
+        povm = measurement.build_povm(g)
+        full = np.kron(psi, linalg.spin_eigenstates(g.b)[0])
+        return max(
+            abs(abs(np.vdot(vec, full)) ** 2 - np.vdot(psi, element @ psi).real)
+            for vec, element in zip(basis.vectors, povm.elements)
+        )
 
-    record("bloch component transfer", 1e-10, bloch_transfer)
+    def unitarity(g):
+        u = cloner.clone_unitary(g)
+        return np.max(np.abs(u.conj().T @ u - np.eye(4)))
 
-    def closed_forms():
-        worst = 0.0
-        for alpha, eta in ((0.2, 0.8), (0.6, math.pi / 2), (0.85, 2.4), (1.0, 0.0)):
-            g = measurement.geometry_from_angles(alpha, measurement.beta_max(alpha, eta), eta)
-            report = fidelity.fidelity_report(g)
-            worst = max(
-                worst,
-                abs(report.f_b_quad - report.f_b_closed),
-                abs(report.f_mb_closed - report.f_b_closed),
-            )
-        return worst
+    def statistics_equivalence(draw):
+        g, psi = draw
+        born = measurement.joint_distribution(
+            np.outer(psi, psi.conj()), measurement.build_povm(g)
+        ).as_array()
+        clone_probs = cloner.clone_pure(g, psi).probabilities
+        prepared = cloner.measure_and_prepare(g, psi)
+        diag = np.array([np.vdot(prod, prepared @ prod).real for prod in cloner.product_basis(g)])
+        return max(np.max(np.abs(clone_probs - born)), np.max(np.abs(diag - born)))
 
-    record("single-clone closed forms vs quadrature", 1e-9, closed_forms)
+    def bloch_transfer(draw):
+        g, psi = draw
+        c_in = linalg.bloch_from_density(np.outer(psi, psi.conj()))
+        normal = np.cross(g.a, g.b)
+        normal /= np.linalg.norm(normal)
+        return max(_transfer_residuals(g, c_in, cloner.clone_pure(g, psi), normal).values())
 
-    def ordering():
-        worst = 0.0
-        for alpha in np.linspace(0.0, 1.0, grid):
-            for eta in np.linspace(0.0, math.pi, grid):
-                g = measurement.geometry_from_angles(
-                    alpha, measurement.beta_max(alpha, eta), eta
-                )
-                report = fidelity.fidelity_report(g)
-                worst = max(worst, report.f_m_quad - report.f_av_quad)
-        return max(worst, 0.0)
+    def closed_forms(g):
+        report = fidelity.fidelity_report(g)
+        return max(
+            abs(report.f_b_quad - report.f_b_closed),
+            abs(report.f_mb_closed - report.f_b_closed),
+        )
 
-    record("cloner dominates measure-and-prepare", 1e-10, ordering)
+    def ordering(g):
+        report = fidelity.fidelity_report(g)
+        return report.f_m_quad - report.f_av_quad
 
+    # Commuting axes span no plane: the transfer suite skips them before drawing a state.
+    spanning = (g for g in frames() if not abs(np.sin(g.eta)) < 1e-6)
+    fixed_points = ((0.2, 0.8), (0.6, math.pi / 2), (0.85, 2.4), (1.0, 0.0))
+    suites = (
+        ("pauli square is identity", 1e-12, pauli_square, axes),
+        ("spin eigenstates orthonormal eigenpairs", 1e-12, eigenpairs, axes),
+        ("bloch round trip", 1e-12, bloch_round_trip, bloch_vectors()),
+        ("partial trace preserves trace", 1e-12, trace_preserved, densities()),
+        ("povm completeness", 1e-12, povm_completeness, canonical(pairs)),
+        ("povm positivity", 1e-12, povm_negativity, canonical(pairs)),
+        ("saturation at maximal sharpness", 1e-9, saturation, pairs),
+        ("marginal unbiasedness", 1e-10, unbiasedness, with_states(frames())),
+        ("povm rank-one form", 1e-12, rank_one_form, frames()),
+        ("dilation orthonormality", 1e-12, dilation_orthonormality, frames()),
+        ("dilation reproduces born probabilities", 1e-10, dilation_born, with_states(frames())),
+        ("cloning unitary unitarity", 1e-12, unitarity, frames()),
+        ("statistics equivalence across schemes", 1e-10, statistics_equivalence,
+         with_states(frames())),
+        ("bloch component transfer", 1e-10, bloch_transfer, with_states(spanning)),
+        ("single-clone closed forms vs quadrature", 1e-9, closed_forms, canonical(fixed_points)),
+        ("cloner dominates measure-and-prepare", 1e-10, ordering, canonical(pairs)),
+    )
+    results = []
+    for name, tolerance, residual, samples in suites:
+        worst, note = 0.0, ""
+        try:
+            for sample in samples:
+                value = float(residual(sample))
+                # max(nan, x) is nan: once NaN, the residual stays NaN and fails
+                worst = value if math.isnan(value) else max(worst, value)
+        except Exception as exc:  # a crash counts as a failed invariant
+            worst, note = math.inf, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, worst, tolerance, note))
     return results
 
 
@@ -523,14 +469,7 @@ def cmd_clone(args) -> int:
         "bloch_in": list(c_in),
         "bloch_a": list(out.bloch_a),
         "bloch_b": list(out.bloch_b),
-        "residuals": {
-            "axis_a_transfer": abs(g.a @ out.bloch_a - g.alpha * (g.a @ c_in)),
-            "axis_b_transfer": abs(g.b @ out.bloch_b - g.beta * (g.b @ c_in)),
-            "normal_transfer_a": abs(
-                normal @ out.bloch_a - math.sqrt(max(1 - g.beta**2, 0.0)) * (normal @ c_in)
-            ),
-            "normal_component_b": abs(normal @ out.bloch_b),
-        },
+        "residuals": _transfer_residuals(g, c_in, out, normal),
     }
     _write_text(args.out, _json_value(record) + "\n")
     return 0

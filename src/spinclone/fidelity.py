@@ -242,7 +242,6 @@ def _quadrature_averages(g: MeasurementGeometry, resolution: int):
 def fidelity_report(
     g: MeasurementGeometry,
     resolution: int = DEFAULT_RESOLUTION,
-    discrepancy_tol: float = DISCREPANCY_TOL,
 ) -> FidelityReport:
     """Compute all fidelity averages for a geometry and flag disagreements."""
     av_quad, a_quad, b_quad, m_quad = _quadrature_averages(g, resolution)
@@ -255,7 +254,7 @@ def fidelity_report(
         ("f_a", a_closed, a_quad),
         ("f_b", b_closed, b_quad),
     ):
-        if not np.isfinite(closed) or abs(closed - quad) > discrepancy_tol:
+        if not np.isfinite(closed) or abs(closed - quad) > DISCREPANCY_TOL:
             flags.append(name)
     return FidelityReport(
         alpha=g.alpha,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,10 @@ import pytest
 
 import spinclone.cli as cli_module
 import spinclone.cloner as cloner_module
-from spinclone.cli import SWEEP_COLUMNS, build_parser, main
+import spinclone.fidelity as fidelity_module
+import spinclone.linalg as linalg_module
+import spinclone.measurement as measurement_module
+from spinclone.cli import SWEEP_COLUMNS, build_parser, main, run_checks
 from spinclone.cloner import NaimarkBasis
 
 
@@ -44,6 +48,104 @@ def test_check_detects_injected_sign_error(capsys, monkeypatch):
     code, out, _ = run(capsys, ["check", "--trials", "10", "--grid", "4"])
     assert code == 1
     assert any("FAIL" in line and "dilation orthonormality" in line for line in out.splitlines())
+
+
+CHECK_SUITES = [
+    ("pauli square is identity", 1e-12),
+    ("spin eigenstates orthonormal eigenpairs", 1e-12),
+    ("bloch round trip", 1e-12),
+    ("partial trace preserves trace", 1e-12),
+    ("povm completeness", 1e-12),
+    ("povm positivity", 1e-12),
+    ("saturation at maximal sharpness", 1e-9),
+    ("marginal unbiasedness", 1e-10),
+    ("povm rank-one form", 1e-12),
+    ("dilation orthonormality", 1e-12),
+    ("dilation reproduces born probabilities", 1e-10),
+    ("cloning unitary unitarity", 1e-12),
+    ("statistics equivalence across schemes", 1e-10),
+    ("bloch component transfer", 1e-10),
+    ("single-clone closed forms vs quadrature", 1e-9),
+    ("cloner dominates measure-and-prepare", 1e-10),
+]
+
+
+def test_check_suites_and_tolerances():
+    results = run_checks(trials=5, grid=3)
+    assert [(r.name, r.tolerance) for r in results] == CHECK_SUITES
+    assert all(r.passed and r.note == "" for r in results)
+
+
+@pytest.mark.parametrize("arg,value", [("trials", 0), ("trials", -5), ("grid", 0), ("grid", -1)])
+def test_run_checks_rejects_empty_sample_sets(arg, value):
+    # An empty sample set would pass its suites vacuously at residual 0.
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer >= 1"):
+        run_checks(**{"trials": 5, "grid": 3, arg: value})
+
+
+def _times(factor):
+    """Corrupt a function by scaling its result."""
+    def corrupt(fn):
+        return lambda *args, **kwargs: fn(*args, **kwargs) * factor
+    return corrupt
+
+
+def _povm_pp_scaled(fn):
+    def build(g):
+        povm = fn(g)
+        return dataclasses.replace(povm, pp=povm.pp * 1.01)
+    return build
+
+
+def _cloner_loses_to_measurement(fn):
+    def report(g, *args, **kwargs):
+        rep = fn(g, *args, **kwargs)
+        return dataclasses.replace(rep, f_m_quad=rep.f_av_quad + 1e-6)
+    return report
+
+
+@pytest.mark.parametrize("module,name,corrupt,suite", [
+    (linalg_module, "partial_trace", _times(1.01), "partial trace preserves trace"),
+    (measurement_module, "build_povm", _povm_pp_scaled, "povm completeness"),
+    (cloner_module, "clone_unitary", _times(1.01), "cloning unitary unitarity"),
+    (fidelity_module, "fidelity_report", _cloner_loses_to_measurement,
+     "cloner dominates measure-and-prepare"),
+    # a NaN residual must fail, not be passed over by max()
+    (linalg_module, "partial_trace", _times(np.nan), "partial trace preserves trace"),
+], ids=["partial_trace", "build_povm", "clone_unitary", "fidelity_report", "partial_trace_nan"])
+def test_check_detects_injected_fault(capsys, monkeypatch, module, name, corrupt, suite):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    code, out, _ = run(capsys, ["check", "--trials", "10", "--grid", "4"])
+    assert code == 1
+    [line] = [line for line in out.splitlines() if suite in line]
+    assert line.startswith("FAIL")
+
+
+def test_check_reports_a_raising_suite(capsys, monkeypatch):
+    def boom(povm):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(measurement_module, "marginal_operators", boom)
+    code, out, _ = run(capsys, ["check", "--trials", "10", "--grid", "4"])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == len(CHECK_SUITES) + 1
+    assert lines[-1] == f"{len(CHECK_SUITES) - 1}/{len(CHECK_SUITES)} invariant suites passed"
+    for line, (suite, _) in zip(lines, CHECK_SUITES):
+        assert suite in line
+        if suite == "marginal unbiasedness":
+            assert line.startswith("FAIL")
+            assert "residual       inf" in line
+            assert line.endswith("[RuntimeError: boom]")
+        else:
+            assert line.startswith("ok")
+
+
+def test_check_stdout_is_deterministic(capsys):
+    argv = ["check", "--seed", "3", "--trials", "20", "--grid", "5"]
+    first = run(capsys, argv)
+    assert first[0] == 0
+    assert run(capsys, argv) == first
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +428,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     ["clone", "--alpha", "0.6", "--eta", "90", "--degrees", "--theta", "0.3"],
     ["sample", "--alpha", "0.6", "--eta", "1.2", "--bloch-r", "0.5", "--n", "1000"],
     ["check", "--trials", "5", "--grid", "3"],
+    ["check"],
 ])
 def test_cli_runs_without_scipy(argv):
     proc = _python("-c", BLOCK_SCIPY, *argv)
