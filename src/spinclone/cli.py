@@ -28,6 +28,7 @@ import numpy as np
 
 from . import cloner, fidelity, linalg, measurement
 
+# The FidelityReport fields of the same names, then the joined discrepancy flags.
 SWEEP_COLUMNS = (
     "alpha", "beta", "eta", "p", "epsilon",
     "f_av_quad", "f_av_closed", "f_m_quad", "f_a_quad", "f_a_closed",
@@ -146,10 +147,7 @@ def _render_rows_csv(rows: list[dict]) -> str:
 
 
 def _render_rows_json(rows: list[dict]) -> str:
-    body = ",\n".join(
-        "  {" + ", ".join(f"{json.dumps(c)}: {_json_value(row[c])}" for c in SWEEP_COLUMNS) + "}"
-        for row in rows
-    )
+    body = ",\n".join("  " + _json_value(row) for row in rows)
     return "[\n" + body + "\n]\n"
 
 
@@ -409,22 +407,9 @@ def sweep_rows(cfg: SweepConfig) -> list[dict]:
             beta = _resolve_beta(cfg.beta_policy, alpha, eta)
             g = measurement.geometry_from_angles(alpha, beta, eta)
             rep = fidelity.fidelity_report(g, resolution=cfg.resolution)
-            rows.append({
-                "alpha": rep.alpha,
-                "beta": rep.beta,
-                "eta": rep.eta,
-                "p": rep.p,
-                "epsilon": rep.epsilon,
-                "f_av_quad": rep.f_av_quad,
-                "f_av_closed": rep.f_av_closed,
-                "f_m_quad": rep.f_m_quad,
-                "f_a_quad": rep.f_a_quad,
-                "f_a_closed": rep.f_a_closed,
-                "f_b_closed": rep.f_b_closed,
-                "f_ma_closed": rep.f_ma_closed,
-                "f_mb_closed": rep.f_mb_closed,
-                "discrepancy_flags": ";".join(rep.discrepancies),
-            })
+            row = {column: getattr(rep, column) for column in SWEEP_COLUMNS[:-1]}
+            row["discrepancy_flags"] = ";".join(rep.discrepancies)
+            rows.append(row)
     return rows
 
 

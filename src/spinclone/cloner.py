@@ -13,7 +13,8 @@ and the cloning unitary maps these onto signed product states:
 
     U = |a+>|b+><pp| + |a+>|b-><pm| - |a->|b+><mp| - |a->|b-><mm|.
 
-Every clone output comes from the 4x2 isometry K = U (1 (x) |b+>).
+Every clone output, and every node of the fidelity sphere averages in
+:mod:`spinclone.fidelity`, comes from the 4x2 isometry K = U (1 (x) |b+>).
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _bloch, _reduced, as_density, as_state, spin_eigenstates
-from .measurement import MeasurementGeometry, build_povm, joint_distribution
+from .measurement import DEGENERATE_TOL, MeasurementGeometry, build_povm, joint_distribution
 
 #: Gram residual above which the basis constructor refuses to return.
 ORTHONORMALITY_TOL = 1e-10
@@ -165,7 +166,9 @@ def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray,
     a_pair = np.array(_inplane_pair(0.0))
     b_pair = np.array(_inplane_pair(t_b))
     a_plus, a_minus = a_pair
-    sp, sq = np.sqrt(g.p), np.sqrt(max(1.0 - g.p, 0.0))
+    # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry
+    p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p
+    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
     # Row i holds the first-qubit factors paired with (|b+>, |b->) in
     # vector i; the l eigenstates enter on the antipodal branch.
     factors = np.array([
@@ -210,10 +213,9 @@ def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
     return w @ u_c @ w.conj().T
 
 
-def _isometry(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Clone isometry K = U (1 (x) |b+>), 4x2, and P^dag, whose rows are <a_i b_j|."""
-    blank = spin_eigenstates(g.b)[0]
-    return clone_unitary(g).reshape(4, 2, 2) @ blank, np.conj(product_basis(g))
+def _isometry(g: MeasurementGeometry) -> np.ndarray:
+    """Clone isometry K = U (1 (x) |b+>), 4x2: K psi is U applied to |psi>|b+>."""
+    return clone_unitary(g).reshape(4, 2, 2) @ spin_eigenstates(g.b)[0]
 
 
 def _output(joint: np.ndarray, rho: np.ndarray, probabilities: np.ndarray,
@@ -231,16 +233,15 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
     distribution of the measurement on psi.
     """
     psi = as_state(psi)
-    k, p_dag = _isometry(g)
-    joint = k @ psi
-    lambdas = p_dag @ joint
+    joint = _isometry(g) @ psi
+    lambdas = np.conj(product_basis(g)) @ joint
     return _output(joint, np.outer(joint, joint.conj()), np.abs(lambdas) ** 2, lambdas)
 
 
 def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
     """Clone a mixed state: K rho K^dag, i.e. rho (x) |b+><b+| conjugated by the unitary."""
     rho = as_density(rho, dim=2)
-    k, p_dag = _isometry(g)
+    k, p_dag = _isometry(g), np.conj(product_basis(g))
     joint = k @ rho @ k.conj().T
     probs = np.einsum("ij,jk,ik->i", p_dag, joint, p_dag.conj()).real
     return _output(joint, joint, probs)

@@ -18,10 +18,11 @@ Gauss-Legendre integrates exactly.  Higher resolutions serve convergence
 studies; :func:`sphere_grid` and :func:`sphere_average` take any function
 and default to 64.
 
-The quadrature averages are the ground truth.  Closed-form expressions
-are evaluated verbatim and compared against quadrature; disagreements are
-reported in :class:`FidelityReport.discrepancies` rather than silently
-corrected.
+The quadrature averages the cloner's own isometry K = U (1 (x) |b+>)
+(:func:`spinclone.cloner._isometry`) over the input states; these averages
+are the ground truth.  Closed-form expressions are evaluated verbatim and
+compared against quadrature; disagreements are reported in
+:class:`FidelityReport.discrepancies` rather than silently corrected.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import cloner, measurement
-from .linalg import as_density, as_state, spin_eigenstates
+from .linalg import as_density, as_state
 from .measurement import MeasurementGeometry
 
 #: Gauss-Legendre nodes in cos(theta), phi gets twice as many; 2 is exact.
@@ -206,10 +207,7 @@ class FidelityReport:
 def _quadrature_averages(g: MeasurementGeometry, resolution: int):
     """Vectorized sphere averages (F_av, F_a, F_b, F_m) for one geometry."""
     states, weights, states_conj, pair_conj, bloch = _grid_data(resolution)
-    unitary = cloner.clone_unitary(g)
-    blank = spin_eigenstates(g.b)[0]
-    inputs = (states[:, :, None] * blank[None, None, :]).reshape(-1, 4)
-    outputs = inputs @ unitary.T
+    outputs = states @ cloner._isometry(g).T
 
     f_global = np.abs(np.einsum("nk,nk->n", pair_conj, outputs)) ** 2
 

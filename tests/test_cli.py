@@ -198,7 +198,11 @@ def test_sweep_json_round_trips(capsys, tmp_path):
 def test_sweep_default_resolution_matches_golden(capsys, tmp_path):
     # golden_sweep_9x9.csv is `sweep --alpha-steps 9 --eta-steps 9 --quad-res 64`
     # as computed with the 64 x 128 node rule before the 8-node rule became
-    # the default.
+    # the default.  Two cells of its last row, (1, 1, pi), were later replaced
+    # by what that command gives once the dilation enters the weight p = 6.1e-17
+    # as exactly 0: f_av_quad 0.50000000260836908 -> 0.49999999999999922 and
+    # f_a_quad 0.666666671883406 -> 0.66666666666666552, which now match their
+    # closed forms 0.49999999999999994 and 0.66666666666666663.
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, ["sweep", "--alpha-steps", "9", "--eta-steps", "9",
                               "--out", str(out)])
@@ -216,6 +220,52 @@ def test_sweep_default_resolution_matches_golden(capsys, tmp_path):
         assert np.array_equal(np.isnan(got), np.isnan(ref))
         finite = ~np.isnan(ref)
         assert np.max(np.abs(got[finite] - ref[finite]), initial=0.0) <= 1e-13
+
+
+def test_sweep_columns_are_report_fields():
+    fields = [f.name for f in dataclasses.fields(fidelity_module.FidelityReport)]
+    assert set(SWEEP_COLUMNS[:-1]) <= set(fields)
+    assert SWEEP_COLUMNS[-1] == "discrepancy_flags"
+
+
+def test_sweep_csv_and_json_hold_the_same_rows(capsys, tmp_path):
+    paths = {}
+    for fmt in ("csv", "json"):
+        paths[fmt] = tmp_path / f"sweep.{fmt}"
+        code, _, _ = run(capsys, ["sweep", "--alpha-steps", "5", "--eta-steps", "5",
+                                  "--format", fmt, "--out", str(paths[fmt])])
+        assert code == 0
+    with open(paths["csv"], newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    json_rows = json.loads(paths["json"].read_text())
+    assert len(csv_rows) == len(json_rows) == 25
+    for from_csv, from_json in zip(csv_rows, json_rows):
+        assert list(from_csv) == list(from_json) == list(SWEEP_COLUMNS)
+        assert from_csv["discrepancy_flags"] == from_json["discrepancy_flags"]
+        for column in SWEEP_COLUMNS[:-1]:
+            value = float(from_csv[column])
+            if from_json[column] is None:
+                assert math.isnan(value)
+            else:
+                assert value == from_json[column]
+
+
+def test_frontier_corner_clones_and_averages_exactly():
+    # alpha = 1 at float pi: beta_max gives the commuting beta = 1, but the
+    # computed weight p is 6.1e-17 rather than 0
+    g = measurement_module.geometry_from_angles(
+        1.0, measurement_module.beta_max(1.0, math.pi), math.pi)
+    assert g.beta == 1.0 and 0.0 < g.p < measurement_module.DEGENERATE_TOL
+    normal = np.array([0.0, 1.0, 0.0])
+    worst = 0.0
+    for psi in fidelity_module.haar_states(200, seed=3):
+        c_in = linalg_module.bloch_from_density(np.outer(psi, psi.conj()))
+        out = cloner_module.clone_pure(g, psi)
+        worst = max(worst, *cli_module._transfer_residuals(g, c_in, out, normal).values())
+    assert worst <= 1e-12
+    rep = fidelity_module.fidelity_report(g)
+    assert abs(rep.f_av_quad - rep.f_av_closed) <= 1e-14
+    assert abs(rep.f_a_quad - rep.f_a_closed) <= 1e-14
 
 
 def test_sweep_rejects_invalid_range(capsys, tmp_path):
@@ -429,6 +479,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     ["sample", "--alpha", "0.6", "--eta", "1.2", "--bloch-r", "0.5", "--n", "1000"],
     ["check", "--trials", "5", "--grid", "3"],
     ["check"],
+    ["sweep", "--alpha-steps", "5", "--eta-steps", "5", "--out", "-"],
+    ["sweep", "--alpha-steps", "5", "--eta-steps", "5", "--out", "-", "--format", "json"],
 ])
 def test_cli_runs_without_scipy(argv):
     proc = _python("-c", BLOCK_SCIPY, *argv)
