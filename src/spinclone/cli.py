@@ -91,7 +91,7 @@ def _finite_float(text: str) -> float:
 
 
 def _int_in(low: int, high: int):
-    """argparse type for size flags: an integer in [low, high]."""
+    """argparse type for size and seed flags: an integer in [low, high]."""
 
     def parse(text: str) -> int:
         try:
@@ -202,9 +202,9 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
     an infinite residual and the exception as its note.  Random samples are
     drawn lazily, suite by suite, from one generator seeded with ``seed``.
     """
-    for arg, value in (("trials", trials), ("grid", grid)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{arg} must be an integer >= 1, got {value!r}")
+    for arg, value, low in (("trials", trials, 1), ("grid", grid, 1), ("seed", seed, 0)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{arg} must be an integer >= {low}, got {value!r}")
     rng = np.random.default_rng(seed)
     axes = rng.normal(size=(trials, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -525,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"random draws per suite (1 to {MAX_TRIALS})")
     p_check.add_argument("--grid", type=_int_in(1, MAX_CHECK_GRID), default=15,
                          help=f"grid steps per axis for grid suites (1 to {MAX_CHECK_GRID})")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_int_in(0, math.inf), default=0,
+                         help="random seed (a non-negative integer)")
     p_check.set_defaults(func=cmd_check)
 
     p_sweep = subs.add_parser("sweep", help="tabulate fidelity surfaces over (alpha, eta)")
@@ -556,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Bloch vector length of the measured state (0 = maximally mixed)")
     p_sample.add_argument("--n", type=_int_in(1, MAX_DRAWS), required=True,
                           help=f"number of draws (1 to {MAX_DRAWS})")
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_int_in(0, math.inf), default=0,
+                          help="random seed (a non-negative integer)")
     p_sample.set_defaults(func=cmd_sample)
 
     return parser

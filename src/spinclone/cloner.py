@@ -15,6 +15,11 @@ and the cloning unitary maps these onto signed product states:
 
 Every clone output, and every node of the fidelity sphere averages in
 :mod:`spinclone.fidelity`, comes from the 4x2 isometry K = U (1 (x) |b+>).
+K, behind the Gram check of the dilation it comes from, and the conjugated
+product basis P^dag are built once per geometry and then kept on it
+read-only, so cloning many states with one geometry builds the machine
+once.  The public :func:`clone_unitary`, :func:`naimark_basis` and
+:func:`product_basis` still build fresh arrays on every call.
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -213,9 +218,29 @@ def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
     return w @ u_c @ w.conj().T
 
 
+def _kept(g: MeasurementGeometry, name: str, build) -> np.ndarray:
+    """build(g), built on the first request and then kept on g read-only under name.
+
+    A geometry is immutable, so a map derived from it stays valid for its
+    lifetime.  A build that raises keeps nothing.
+    """
+    value = g.__dict__.get(name)
+    if value is None:
+        value = build(g)
+        value.setflags(write=False)
+        object.__setattr__(g, name, value)
+    return value
+
+
 def _isometry(g: MeasurementGeometry) -> np.ndarray:
     """Clone isometry K = U (1 (x) |b+>), 4x2: K psi is U applied to |psi>|b+>."""
-    return clone_unitary(g).reshape(4, 2, 2) @ spin_eigenstates(g.b)[0]
+    return _kept(g, "_clone_isometry",
+                 lambda g: clone_unitary(g).reshape(4, 2, 2) @ spin_eigenstates(g.b)[0])
+
+
+def _product_dagger(g: MeasurementGeometry) -> np.ndarray:
+    """P^dag = conj(product_basis(g)), 4x4: row i maps a state to its prod_i amplitude."""
+    return _kept(g, "_clone_product_dagger", lambda g: np.conj(product_basis(g)))
 
 
 def _output(joint: np.ndarray, rho: np.ndarray, probabilities: np.ndarray,
@@ -234,14 +259,14 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
     """
     psi = as_state(psi)
     joint = _isometry(g) @ psi
-    lambdas = np.conj(product_basis(g)) @ joint
+    lambdas = _product_dagger(g) @ joint
     return _output(joint, np.outer(joint, joint.conj()), np.abs(lambdas) ** 2, lambdas)
 
 
 def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
     """Clone a mixed state: K rho K^dag, i.e. rho (x) |b+><b+| conjugated by the unitary."""
     rho = as_density(rho, dim=2)
-    k, p_dag = _isometry(g), np.conj(product_basis(g))
+    k, p_dag = _isometry(g), _product_dagger(g)
     joint = k @ rho @ k.conj().T
     probs = np.einsum("ij,jk,ik->i", p_dag, joint, p_dag.conj()).real
     return _output(joint, joint, probs)

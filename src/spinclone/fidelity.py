@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import cloner, measurement
+from . import cloner
 from .linalg import as_density, as_state
 from .measurement import MeasurementGeometry
 

@@ -52,6 +52,12 @@ class NonSaturating(ValueError):
 class MeasurementGeometry:
     """Full parameter set of an optimal joint measurement.
 
+    Treat a geometry as immutable: :func:`build_geometry` makes its arrays
+    read-only, and :mod:`spinclone.cloner` keeps maps derived from it (the
+    clone isometry and the conjugated product basis) on the instance.  For
+    other parameters build a new geometry; ``dataclasses.replace`` gives a
+    copy that builds its own maps.
+
     Attributes
     ----------
     a, b : unit 3-vectors, the measured spin axes.
@@ -264,7 +270,7 @@ def chi2_sf(x: float, dof: int) -> float:
         raise ValueError(f"closed-form chi-square tail covers dof 0..3, got {dof!r}")
     tail = math.erfc(math.sqrt(x / 2))
     if dof == 3 and x < math.inf:  # at x = inf the product is inf * 0 = nan
-        tail +=math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+        tail += math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
     return tail
 
 

@@ -76,10 +76,13 @@ def test_check_suites_and_tolerances():
     assert all(r.passed and r.note == "" for r in results)
 
 
-@pytest.mark.parametrize("arg,value", [("trials", 0), ("trials", -5), ("grid", 0), ("grid", -1)])
+@pytest.mark.parametrize("arg,value", [("trials", 0), ("trials", -5), ("grid", 0), ("grid", -1),
+                                       ("seed", -1)])
 def test_run_checks_rejects_empty_sample_sets(arg, value):
-    # An empty sample set would pass its suites vacuously at residual 0.
-    with pytest.raises(ValueError, match=f"^{arg} must be an integer >= 1"):
+    # An empty sample set would pass its suites vacuously at residual 0; a
+    # negative seed would fail inside numpy with a message that names no input.
+    low = 0 if arg == "seed" else 1
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer >= {low}"):
         run_checks(**{"trials": 5, "grid": 3, arg: value})
 
 
@@ -427,6 +430,19 @@ def test_size_flag_above_limit_is_usage_error(capsys, argv, flag, limit):
     err = capsys.readouterr().err
     assert f"argument {flag}" in err
     assert str(limit) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["sample", "--alpha", "0.6", "--eta", "1.0", "--n", "10"],
+])
+def test_negative_seed_is_usage_error_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    # the flag has no upper limit: every seed numpy accepts still parses
+    assert build_parser().parse_args(argv + ["--seed", str(10**40)]).seed == 10**40
 
 
 def test_size_limits_admit_sizes_in_use():

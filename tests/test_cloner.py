@@ -422,3 +422,72 @@ def test_clone_matches_unitary_reference(rng):
             as_density(out.rho_a)
             as_density(out.rho_b)
         as_density(mixed.joint, dim=4)
+
+
+def _clone_fields_equal(out, ref):
+    return all(
+        (got is None and want is None) or np.array_equal(got, want)
+        for got, want in ((getattr(out, f.name), getattr(ref, f.name))
+                          for f in dataclasses.fields(CloneOutput))
+    )
+
+
+def test_clone_builds_the_machine_once_per_geometry(monkeypatch, rng):
+    calls = {"clone_unitary": 0, "product_basis": 0}
+
+    def counting(name):
+        original = getattr(cloner_module, name)
+
+        def counted(g):
+            calls[name] += 1
+            return original(g)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cloner_module, name, counting(name))
+    g = random_geometry(rng)
+    for _ in range(4):
+        clone_pure(g, random_pure_state(rng))
+    clone_mixed(g, random_density(rng))
+    assert calls == {"clone_unitary": 1, "product_basis": 1}
+
+
+def test_warm_clone_equals_cold(rng):
+    for _ in range(20):
+        g = random_geometry(rng)
+        states = [random_pure_state(rng) for _ in range(5)]
+        rho = random_density(rng)
+        for psi in states[:4]:
+            clone_pure(g, psi)
+        # dataclasses.replace gives an equal geometry that has built nothing yet
+        assert _clone_fields_equal(clone_pure(g, states[4]),
+                                   clone_pure(dataclasses.replace(g), states[4]))
+        assert _clone_fields_equal(clone_mixed(g, rho), clone_mixed(dataclasses.replace(g), rho))
+
+
+def test_kept_isometry_and_product_basis_are_read_only(rng):
+    g = random_geometry(rng)
+    clone_pure(g, random_pure_state(rng))
+    k, p_dag = cloner_module._isometry(g), cloner_module._product_dagger(g)
+    assert not k.flags.writeable and not p_dag.flags.writeable
+    assert cloner_module._isometry(g) is k and cloner_module._product_dagger(g) is p_dag
+    copy = dataclasses.replace(g)
+    assert cloner_module._isometry(copy) is not k
+    assert cloner_module._product_dagger(copy) is not p_dag
+    assert np.array_equal(cloner_module._isometry(copy), k)
+    assert np.array_equal(cloner_module._product_dagger(copy), p_dag)
+
+
+def test_failed_build_keeps_nothing(monkeypatch):
+    original = cloner_module._inplane_pair
+
+    def corrupted(t):
+        plus, minus = original(t)
+        return plus, -minus
+
+    g, psi = derived_geometry(), np.array([0.6, 0.8j])
+    monkeypatch.setattr(cloner_module, "_inplane_pair", corrupted)
+    with pytest.raises(OrthonormalityFailure):
+        clone_pure(g, psi)
+    monkeypatch.undo()
+    assert _clone_fields_equal(clone_pure(g, psi), clone_pure(derived_geometry(), psi))
