@@ -464,17 +464,18 @@ def cmd_clone(args) -> int:
 # sample
 
 def cmd_sample(args) -> int:
+    # Refused before any work, in argparse's words; main reports it with exit code 2
+    if not 0.0 <= args.bloch_r <= 1.0:
+        raise ValueError(f"argument --bloch-r: must lie in [0, 1], got {args.bloch_r!r}")
     eta, theta, phi = _angles(args, ("eta", "theta", "phi"))
     beta = _resolve_beta(args.beta, args.alpha, eta)
     g = measurement.geometry_from_angles(args.alpha, beta, eta)
-    if not 0.0 <= args.bloch_r <= 1.0:
-        raise ValueError("bloch-r must lie in [0, 1]")
     direction = np.array(
         [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
     )
     rho = linalg.density_from_bloch(args.bloch_r * direction)
     counts = measurement.sample_outcomes(rho, g, args.n, seed=args.seed)
-    expected = measurement.joint_distribution(rho, measurement.build_povm(g)).as_array()
+    expected = measurement._born_probabilities(g, rho)
     observed = np.array([counts[k] for k in measurement.OUTCOME_LABELS], dtype=float)
     chi2, dof, p_value = measurement.chi_square(observed, expected)
     record = {

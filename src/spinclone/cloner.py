@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _bloch, _reduced, as_density, as_state, spin_eigenstates
-from .measurement import DEGENERATE_TOL, MeasurementGeometry, build_povm, joint_distribution
+from .measurement import DEGENERATE_TOL, MeasurementGeometry, _born_probabilities
 
 #: Gram residual above which the basis constructor refuses to return.
 ORTHONORMALITY_TOL = 1e-10
@@ -147,7 +147,9 @@ def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
     These are the states prepared by the measure-and-prepare scheme and the
     basis in which clone amplitudes are reported.
     """
-    return list(np.kron(np.array(spin_eigenstates(g.a)), np.array(spin_eigenstates(g.b))))
+    ea, eb = np.array(spin_eigenstates(g.a)), np.array(spin_eigenstates(g.b))
+    # Row 2i + j, entry 2k + l, is a_i[k] b_j[l]: np.kron of the two pairs, by broadcasting
+    return list((ea[:, None, :, None] * eb[None, :, None, :]).reshape(4, 4))
 
 
 def _signed_angle(v: np.ndarray) -> float:
@@ -243,10 +245,9 @@ def _product_dagger(g: MeasurementGeometry) -> np.ndarray:
     return _kept(g, "_clone_product_dagger", lambda g: np.conj(product_basis(g)))
 
 
-def _output(joint: np.ndarray, rho: np.ndarray, probabilities: np.ndarray,
+def _output(joint: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, probabilities: np.ndarray,
             lambdas: np.ndarray | None = None) -> CloneOutput:
-    """Package a clone whose two-qubit density operator is rho."""
-    rho_a, rho_b = _reduced(rho)
+    """Package a clone with reduced states rho_a and rho_b."""
     joint.setflags(write=False)
     return CloneOutput(joint, rho_a, rho_b, _bloch(rho_a), _bloch(rho_b), probabilities, lambdas)
 
@@ -260,7 +261,9 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
     psi = as_state(psi)
     joint = _isometry(g) @ psi
     lambdas = _product_dagger(g) @ joint
-    return _output(joint, np.outer(joint, joint.conj()), np.abs(lambdas) ** 2, lambdas)
+    # joint[2i + j] = J[i, j], so tracing out either qubit of |joint><joint| is a 2x2 product
+    j = joint.reshape(2, 2)
+    return _output(joint, j @ j.conj().T, j.T @ j.conj(), np.abs(lambdas) ** 2, lambdas)
 
 
 def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
@@ -268,8 +271,9 @@ def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
     rho = as_density(rho, dim=2)
     k, p_dag = _isometry(g), _product_dagger(g)
     joint = k @ rho @ k.conj().T
-    probs = np.einsum("ij,jk,ik->i", p_dag, joint, p_dag.conj()).real
-    return _output(joint, joint, probs)
+    # diag(P^dag joint P): the product-basis weights of joint
+    probs = ((p_dag @ joint) * p_dag.conj()).sum(1).real
+    return _output(joint, *_reduced(joint), probs)
 
 
 def measure_and_prepare(g: MeasurementGeometry, psi) -> np.ndarray:
@@ -281,8 +285,8 @@ def measure_and_prepare(g: MeasurementGeometry, psi) -> np.ndarray:
     outcome statistics as :func:`clone_pure`.
     """
     psi = as_state(psi)
-    dist = joint_distribution(np.outer(psi, psi.conj()), build_povm(g))
+    probs = _born_probabilities(g, np.outer(psi, psi.conj()))
     out = np.zeros((4, 4), dtype=complex)
-    for prob, prod in zip(dist.as_array(), product_basis(g)):
+    for prob, prod in zip(probs, product_basis(g)):
         out += prob * np.outer(prod, prod.conj())
     return out

@@ -18,6 +18,9 @@ mutable state, so everything here is safe for concurrent use.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 # Validation tolerance for unit norms, hermiticity, trace and positivity.
@@ -64,13 +67,17 @@ def as_density(rho, dim: int = 2) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} operator, got shape {rho.shape}")
-    if not np.max(np.abs(rho - rho.conj().T)) <= ATOL:
-        raise ValueError("operator is not hermitian")
+    skew = np.max(np.abs(rho - rho.conj().T))
+    if not skew <= ATOL:
+        raise ValueError(f"operator is not hermitian: max |rho - rho^dag| = {float(skew)!r}")
     tr = np.trace(rho).real
     if not abs(tr - 1.0) <= ATOL:
         raise ValueError(f"operator does not have unit trace: tr = {tr!r}")
-    if not np.linalg.eigvalsh(rho).min() >= -ATOL:
-        raise ValueError("operator is not positive semidefinite")
+    lowest = np.linalg.eigvalsh(rho).min()
+    if not lowest >= -ATOL:
+        raise ValueError(
+            f"operator is not positive semidefinite: smallest eigenvalue {float(lowest)!r}"
+        )
     return rho
 
 
@@ -89,13 +96,13 @@ def spin_eigenstates(n) -> tuple[np.ndarray, np.ndarray]:
     The global phases follow the package convention described in the
     module docstring; the pair is orthonormal.
     """
-    n = as_unit_vector(n)
+    x, y, z = as_unit_vector(n).tolist()
     # atan2 keeps theta accurate near the poles, where arccos(n_z) loses digits
-    theta = np.arctan2(np.hypot(n[0], n[1]), n[2])
-    phi = np.arctan2(n[1], n[0])
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    plus = np.array([c, np.exp(1j * phi) * s])
-    minus = np.array([-np.exp(-1j * phi) * s, c])
+    theta = math.atan2(math.hypot(x, y), z)
+    phi = math.atan2(y, x)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    plus = np.array([c, cmath.exp(1j * phi) * s])
+    minus = np.array([-cmath.exp(-1j * phi) * s, c])
     return plus, minus
 
 
@@ -112,16 +119,19 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     ``keep=1`` keeps the first qubit (traces out the second), ``keep=2``
     keeps the second.
     """
-    rho = as_density(rho, dim=4)
     if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
-    return _reduced(rho)[keep - 1]
+        raise ValueError(f"keep must be 1 or 2, got {keep!r}")
+    return _reduced(as_density(rho, dim=4))[keep - 1]
 
 
 def _reduced(rho4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced states (rho_1, rho_2) of a 4x4 operator, without validation."""
+    """Reduced states (rho_1, rho_2) of a 4x4 operator, without validation.
+
+    With r[i, j, k, l] = rho4[2i + j, 2k + l], rho_1 sums the diagonal
+    j = l blocks and rho_2 the diagonal i = k blocks.
+    """
     r = rho4.reshape(2, 2, 2, 2)
-    return np.trace(r, axis1=1, axis2=3), np.trace(r, axis1=0, axis2=2)
+    return r[:, 0, :, 0] + r[:, 1, :, 1], r[0, :, 0, :] + r[1, :, 1, :]
 
 
 def bloch_from_density(rho) -> np.ndarray:
@@ -130,8 +140,14 @@ def bloch_from_density(rho) -> np.ndarray:
 
 
 def _bloch(rho2: np.ndarray) -> np.ndarray:
-    """Bloch vector of a 2x2 operator, without validation."""
-    return np.real(np.einsum("kij,ji->k", PAULI, rho2))
+    """Bloch vector Re tr(rho sigma_k), k = x, y, z, of a 2x2 operator, without validation.
+
+    For a hermitian rho this is (2 Re rho_10, 2 Im rho_10, rho_00 - rho_11).
+    Both off-diagonal entries enter, so the values are these traces for any
+    2x2 operator, hermitian or not.
+    """
+    r00, r01, r10, r11 = rho2.ravel().tolist()
+    return np.array([(r01 + r10).real, (r10 - r01).imag, (r00 - r11).real])
 
 
 def density_from_bloch(c) -> np.ndarray:

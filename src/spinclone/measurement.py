@@ -207,6 +207,16 @@ def build_povm(g: MeasurementGeometry) -> Povm4:
     )
 
 
+def _born_probabilities(g: MeasurementGeometry, rho: np.ndarray) -> np.ndarray:
+    """Born probabilities tr(rho Pi) of the four outcomes on a 2x2 rho, without validation.
+
+    tr(rho Pi) is the sum of Pi_ij rho_ji, so one 4x4 product of the
+    flattened elements of :func:`build_povm` with rho^T gives all four.
+    """
+    elements = np.reshape(build_povm(g).elements, (4, 4))
+    return (elements @ rho.T.ravel()).real
+
+
 def marginal_operators(povm: Povm4):
     """Marginal two-outcome measurements for the a and b components.
 
@@ -239,8 +249,7 @@ def sample_outcomes(rho, g: MeasurementGeometry, n: int, seed: int = 0) -> dict[
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    dist = joint_distribution(rho, build_povm(g))
-    probs = np.clip(dist.as_array(), 0.0, 1.0)
+    probs = np.clip(_born_probabilities(g, as_density(rho, dim=2)), 0.0, 1.0)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, probs)

@@ -391,6 +391,29 @@ def test_sample_rejects_bad_bloch_radius(capsys):
     assert "bloch-r" in err
 
 
+def test_sample_bloch_radius_error_names_the_value(capsys, monkeypatch):
+    # refused before the geometry is built
+    monkeypatch.setattr(measurement_module, "geometry_from_angles", None)
+    code, _, err = run(capsys, [
+        "sample", "--alpha", "0.6", "--eta", "1.0", "--bloch-r", "1.5", "--n", "10",
+    ])
+    assert code == 2
+    assert "argument --bloch-r: must lie in [0, 1], got 1.5" in err
+
+
+def test_sample_expected_is_the_born_distribution(capsys):
+    code, out, _ = run(capsys, [
+        "sample", "--alpha", "0.6", "--eta", "1.2", "--theta", "0.7", "--phi", "2.0",
+        "--bloch-r", "0.5", "--n", "10",
+    ])
+    assert code == 0
+    g = measurement_module.geometry_from_angles(0.6, measurement_module.beta_max(0.6, 1.2), 1.2)
+    direction = [math.sin(0.7) * math.cos(2.0), math.sin(0.7) * math.sin(2.0), math.cos(0.7)]
+    rho = linalg_module.density_from_bloch(0.5 * np.array(direction))
+    want = measurement_module.joint_distribution(rho, measurement_module.build_povm(g)).as_array()
+    assert np.max(np.abs(np.array(json.loads(out)["expected"]) - want)) <= 1e-15
+
+
 # ----------------------------------------------------------------------
 # exit-code contract
 

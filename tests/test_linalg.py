@@ -10,7 +10,8 @@ from spinclone import (
     tensor,
 )
 from spinclone import build_geometry, clone_pure
-from spinclone.linalg import as_density, as_state, as_unit_vector
+from spinclone.cloner import _inplane_pair
+from spinclone.linalg import _bloch, _reduced, as_density, as_state, as_unit_vector
 
 from conftest import random_density, random_pure_state, random_unit_vector
 
@@ -154,3 +155,87 @@ def test_validators_reject_non_finite(bad):
         as_density(np.array([[bad, 0.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="unit ball"):
         density_from_bloch([bad, 0.0, 0.0])
+
+
+# ----------------------------------------------------------------------
+# closed forms against the general numpy formulas they replace
+
+PAULI_MATRICES = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def random_operator(rng, dim):
+    """A complex dim x dim operator, in general neither hermitian nor positive."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def numpy_eigenstates(n):
+    """The eigenstate formula on numpy scalars: arctan2, hypot, exp."""
+    n = np.asarray(n, dtype=float)
+    theta = np.arctan2(np.hypot(n[0], n[1]), n[2])
+    phi = np.arctan2(n[1], n[0])
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([c, np.exp(1j * phi) * s]), np.array([-np.exp(-1j * phi) * s, c])
+
+
+def same_signs(x, y):
+    return (np.array_equal(np.signbit(x.real), np.signbit(y.real))
+            and np.array_equal(np.signbit(x.imag), np.signbit(y.imag)))
+
+
+def test_reduced_matches_trace_formula(rng):
+    for rho in [random_operator(rng, 4) for _ in range(200)] + [
+            random_density(rng, dim=4) for _ in range(200)]:
+        r = rho.reshape(2, 2, 2, 2)
+        want = np.trace(r, axis1=1, axis2=3), np.trace(r, axis1=0, axis2=2)
+        for got, ref in zip(_reduced(rho), want):
+            assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_bloch_matches_trace_formula(rng):
+    for rho in [random_operator(rng, 2) for _ in range(200)] + [
+            random_density(rng) for _ in range(200)]:
+        want = np.real(np.einsum("kij,ji->k", PAULI_MATRICES, rho))
+        assert np.max(np.abs(_bloch(rho) - want)) <= 1e-15
+
+
+# The angles come from math.atan2 and math.hypot, which on some builds differ
+# from numpy's vectorized arctan2 and hypot by one or two ulps.
+@pytest.mark.parametrize("n", [
+    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-0.0, 0.0, 1.0), (-0.0, -0.0, 1.0), (0.0, -0.0, 1.0),
+    (-0.0, 0.0, -1.0), (-0.0, -0.0, -1.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),
+    (-1.0, -0.0, 0.0), (-0.0, 1.0, 0.0), (-0.0, -1.0, 0.0), (0.0, -1.0, -0.0),
+])
+def test_spin_eigenstates_keep_signed_zeros(n):
+    for got, want in zip(spin_eigenstates(n), numpy_eigenstates(n)):
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert same_signs(got, want)
+
+
+def test_spin_eigenstates_match_numpy_formula(rng):
+    for _ in range(2000):
+        n = random_unit_vector(rng)
+        for got, want in zip(spin_eigenstates(n), numpy_eigenstates(n)):
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 1e-300, 0.3, np.pi / 2, 2.5, np.pi])
+def test_inplane_pair_matches_spin_eigenstates(t):
+    # cloner._inplane_pair stands in for spin_eigenstates on x-z plane axes
+    # (sin t, 0, cos t), t in [0, pi] or -0.0, down to the sign of a zero
+    for got, want in zip(spin_eigenstates([np.sin(t), 0.0, np.cos(t)]), _inplane_pair(t)):
+        assert np.max(np.abs(got.real - want)) <= 1e-15
+        assert np.array_equal(np.signbit(got.real), np.signbit(want))
+        assert not np.any(got.imag)
+
+
+def test_as_density_messages_name_the_bad_value():
+    with pytest.raises(ValueError, match=r"not hermitian: max \|rho - rho\^dag\| = 0\.25"):
+        as_density(np.array([[0.5, 0.25], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="not positive semidefinite: smallest eigenvalue -0.5"):
+        as_density(np.diag([1.5, -0.5]))
+
+
+def test_partial_trace_checks_keep_first():
+    # an all-zero operator would fail the density check; the bad keep is reported instead
+    with pytest.raises(ValueError, match="keep must be 1 or 2, got 3"):
+        partial_trace(np.zeros((4, 4)), keep=3)

@@ -19,9 +19,10 @@ from spinclone import (
     sample_outcomes,
     spin_eigenstates,
 )
+import spinclone.measurement as measurement_module
 from spinclone.measurement import chi2_sf
 
-from conftest import random_geometry, random_pure_state
+from conftest import random_density, random_geometry, random_pure_state, random_unit_vector
 
 A_HAT = np.array([0.0, 0.0, 1.0])
 B_HAT = np.array([1.0, 0.0, 0.0])
@@ -240,6 +241,34 @@ def test_sample_outcomes_single_draw():
     counts = sample_outcomes(np.eye(2) / 2, g, 1, seed=7)
     assert sum(counts.values()) == 1
     assert set(counts) == set(OUTCOME_LABELS)
+
+
+def born_test_geometries(rng):
+    """200 random-frame geometries, then (anti)parallel axes: the p = 1 and p = 0 corners."""
+    geometries = [random_geometry(rng) for _ in range(200)]
+    for alpha in (0.0, 0.3, 1.0):
+        for a in (A_HAT, random_unit_vector(rng)):
+            geometries.append(build_geometry(a, a, alpha, 1.0))
+            geometries.append(build_geometry(a, -a, alpha, 1.0))
+    return geometries
+
+
+def test_born_map_matches_joint_distribution(rng):
+    geometries = born_test_geometries(rng)
+    assert {0.0, 1.0} <= {g.p for g in geometries}
+    for g in geometries:
+        psi = random_pure_state(rng)
+        for rho in (random_density(rng), np.outer(psi, psi.conj()), np.eye(2) / 2):
+            want = joint_distribution(rho, build_povm(g)).as_array()
+            got = measurement_module._born_probabilities(g, rho)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_sample_outcomes_draws_the_born_probabilities(rng):
+    g, rho = random_geometry(rng), random_density(rng)
+    probs = joint_distribution(rho, build_povm(g)).as_array()
+    counts = sample_outcomes(rho, g, 10**6, seed=3)
+    _assert_within_5_sigma(counts, probs, 10**6)
 
 
 def _assert_within_5_sigma(counts, probs, n):
