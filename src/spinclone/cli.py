@@ -174,6 +174,12 @@ def _bloch_state(theta: float, phi: float) -> np.ndarray:
     return np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
 
 
+def _direction(theta: float, phi: float) -> np.ndarray:
+    """Bloch vector of _bloch_state(theta, phi)."""
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
 # ----------------------------------------------------------------------
 # check
 
@@ -440,7 +446,7 @@ def cmd_clone(args) -> int:
     g = measurement.geometry_from_angles(args.alpha, beta, eta)
     psi = _bloch_state(theta, phi)
     out = cloner.clone_pure(g, psi)
-    c_in = linalg.bloch_from_density(np.outer(psi, psi.conj()))
+    c_in = _direction(theta, phi)
     normal = np.array([0.0, 1.0, 0.0])  # plane normal in the canonical frame
     record = {
         "alpha": g.alpha,
@@ -470,10 +476,7 @@ def cmd_sample(args) -> int:
     eta, theta, phi = _angles(args, ("eta", "theta", "phi"))
     beta = _resolve_beta(args.beta, args.alpha, eta)
     g = measurement.geometry_from_angles(args.alpha, beta, eta)
-    direction = np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
-    rho = linalg.density_from_bloch(args.bloch_r * direction)
+    rho = linalg.density_from_bloch(args.bloch_r * _direction(theta, phi))
     counts = measurement.sample_outcomes(rho, g, args.n, seed=args.seed)
     expected = measurement._born_probabilities(g, rho)
     observed = np.array([counts[k] for k in measurement.OUTCOME_LABELS], dtype=float)

@@ -13,13 +13,14 @@ and the cloning unitary maps these onto signed product states:
 
     U = |a+>|b+><pp| + |a+>|b-><pm| - |a->|b+><mp| - |a->|b-><mm|.
 
-Every clone output, and every node of the fidelity sphere averages in
-:mod:`spinclone.fidelity`, comes from the 4x2 isometry K = U (1 (x) |b+>).
-K, behind the Gram check of the dilation it comes from, and the conjugated
-product basis P^dag are built once per geometry and then kept on it
-read-only, so cloning many states with one geometry builds the machine
-once.  The public :func:`clone_unitary`, :func:`naimark_basis` and
-:func:`product_basis` still build fresh arrays on every call.
+The 4x2 isometry K = U (1 (x) |b+>), behind the Gram check of the
+dilation it comes from, and the conjugated product basis P^dag are built
+once per geometry and then kept on it read-only, so cloning many states
+with one geometry builds the machine once.  Both are read by the clone
+functions and by the sphere averages of :mod:`spinclone.fidelity`, which
+split K|psi> into its four product-basis branches.  The public
+:func:`clone_unitary`, :func:`naimark_basis` and :func:`product_basis`
+still build fresh arrays on every call.
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -286,7 +287,5 @@ def measure_and_prepare(g: MeasurementGeometry, psi) -> np.ndarray:
     """
     psi = as_state(psi)
     probs = _born_probabilities(g, np.outer(psi, psi.conj()))
-    out = np.zeros((4, 4), dtype=complex)
-    for prob, prod in zip(probs, product_basis(g)):
-        out += prob * np.outer(prod, prod.conj())
-    return out
+    p_dag = _product_dagger(g)
+    return (p_dag.conj().T * probs) @ p_dag  # P diag(probs) P^dag, P's columns the products

@@ -18,11 +18,15 @@ Gauss-Legendre integrates exactly.  Higher resolutions serve convergence
 studies; :func:`sphere_grid` and :func:`sphere_average` take any function
 and default to 64.
 
-The quadrature averages the cloner's own isometry K = U (1 (x) |b+>)
-(:func:`spinclone.cloner._isometry`) over the input states; these averages
-are the ground truth.  Closed-form expressions are evaluated verbatim and
-compared against quadrature; disagreements are reported in
-:class:`FidelityReport.discrepancies` rather than silently corrected.
+The quadrature sees the measurement only through the cloner's isometry
+K = U (1 (x) |b+>) and conjugated product basis P^dag (:mod:`spinclone.cloner`).
+At each node K|psi> splits into four product-basis branches
+x_k = <psi psi|prod_k> lambda_k, lambda = P^dag K psi, where |lambda_k|^2 is
+the joint outcome distribution.  The cloner adds the branches coherently,
+F_av = |sum_k x_k|^2; measure-and-prepare adds them incoherently,
+F_m = sum_k |x_k|^2.  These averages are the ground truth.  Closed forms
+are evaluated verbatim and compared against quadrature; disagreements are
+reported in :class:`FidelityReport.discrepancies`, not silently corrected.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ DISCREPANCY_TOL = 1e-6
 
 @lru_cache(maxsize=8)
 def _grid_data(resolution: int) -> tuple[np.ndarray, ...]:
-    """Quadrature nodes plus geometry-independent derived arrays, cached."""
+    """Geometry-independent nodes |psi>, weights, <psi| and <psi psi|, cached; no Bloch vectors."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution!r}")
     nodes, gl_weights = np.polynomial.legendre.leggauss(resolution)
@@ -61,14 +65,7 @@ def _grid_data(resolution: int) -> tuple[np.ndarray, ...]:
     weights = np.repeat(gl_weights / 2.0, n_phi) / n_phi
     states_conj = states.conj()
     pair_conj = np.einsum("ni,nj->nij", states_conj, states_conj).reshape(-1, 4)
-    cross = states_conj[:, 0] * states[:, 1]
-    bloch = np.stack(
-        [2.0 * cross.real,
-         2.0 * cross.imag,
-         np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2],
-        axis=1,
-    )
-    cached = (states, weights, states_conj, pair_conj, bloch)
+    cached = (states, weights, states_conj, pair_conj)
     for arr in cached:
         arr.setflags(write=False)
     return cached
@@ -206,28 +203,18 @@ class FidelityReport:
 
 def _quadrature_averages(g: MeasurementGeometry, resolution: int):
     """Vectorized sphere averages (F_av, F_a, F_b, F_m) for one geometry."""
-    states, weights, states_conj, pair_conj, bloch = _grid_data(resolution)
+    states, weights, states_conj, pair_conj = _grid_data(resolution)
     outputs = states @ cloner._isometry(g).T
+    p_dag = cloner._product_dagger(g)
 
-    f_global = np.abs(np.einsum("nk,nk->n", pair_conj, outputs)) ** 2
+    # Branch k of the output: <psi psi|prod_k> times the clone amplitude lambda_k
+    branches = (pair_conj @ p_dag.conj().T) * (outputs @ p_dag.T)
+    f_global = np.abs(branches.sum(axis=1)) ** 2
+    f_m = np.sum(np.abs(branches) ** 2, axis=1)
 
     out_mat = outputs.reshape(-1, 2, 2)
     f_a = np.sum(np.abs(np.einsum("ni,nij->nj", states_conj, out_mat)) ** 2, axis=1)
     f_b = np.sum(np.abs(np.einsum("nij,nj->ni", out_mat, states_conj)) ** 2, axis=1)
-
-    # Born probabilities and product-state overlaps reduce to affine
-    # functions of the input Bloch vector, which the grid caches.
-    m_dot, l_dot = bloch @ g.m, bloch @ g.l
-    born = np.stack(
-        [g.p / 2 * (1 + m_dot), (1 - g.p) / 2 * (1 + l_dot),
-         (1 - g.p) / 2 * (1 - l_dot), g.p / 2 * (1 - m_dot)],
-        axis=1,
-    )
-    a_dot, b_dot = bloch @ g.a, bloch @ g.b
-    wa = 0.5 * np.stack([1 + a_dot, 1 - a_dot], axis=1)
-    wb = 0.5 * np.stack([1 + b_dot, 1 - b_dot], axis=1)
-    prod_weights = (wa[:, :, None] * wb[:, None, :]).reshape(-1, 4)
-    f_m = np.einsum("nk,nk->n", born, prod_weights)
 
     return (
         float(weights @ f_global),

@@ -86,7 +86,11 @@ def pauli_dot(n) -> np.ndarray:
 
     Hermitian, traceless, with eigenvalues +1 and -1.
     """
-    n = as_unit_vector(n)
+    return _pauli(as_unit_vector(n))
+
+
+def _pauli(n: np.ndarray) -> np.ndarray:
+    """n_x sigma_x + n_y sigma_y + n_z sigma_z for a real 3-vector, without validation."""
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, IDENTITY_2, as_density, as_unit_vector, pauli_dot
+from .linalg import ATOL, IDENTITY_2, _pauli, as_density, as_unit_vector
 
 #: Outcome labels, ordered (a-outcome, b-outcome).
 OUTCOME_LABELS = ("++", "+-", "-+", "--")
@@ -197,8 +197,8 @@ def build_povm(g: MeasurementGeometry) -> Povm4:
     pair weight 1-p on the l axis.  The four elements are positive and
     sum to the identity.
     """
-    sm = pauli_dot(g.m)
-    sl = pauli_dot(g.l)
+    # m and l are the geometry's own unit axes, validated when it was built
+    sm, sl = _pauli(g.m), _pauli(g.l)
     return Povm4(
         pp=g.p / 2 * (IDENTITY_2 + sm),
         pm=(1 - g.p) / 2 * (IDENTITY_2 + sl),

@@ -25,7 +25,7 @@ from spinclone import (
 from spinclone.cloner import product_basis
 from spinclone import build_povm, joint_distribution, clone_unitary
 
-from conftest import random_geometry, random_pure_state
+from conftest import random_geometry, random_pure_state, random_unit_vector
 
 A_HAT = np.array([0.0, 0.0, 1.0])
 B_HAT = np.array([1.0, 0.0, 0.0])
@@ -137,7 +137,21 @@ def test_default_rule_matches_fine_rule(rng):
             assert getattr(coarse, name) == pytest.approx(getattr(fine, name), abs=1e-14)
 
 
-def test_report_matches_loop_average():
+def loop_integrands(g):
+    """Pointwise integrands of the four report averages, from the public functions.
+
+    F_m takes its weights from the POVM through measure_and_prepare, so it
+    does not depend on the clone isometry.
+    """
+    return {
+        "f_av_quad": lambda psi: global_fidelity(psi, clone_pure(g, psi).joint),
+        "f_a_quad": lambda psi: np.vdot(psi, clone_pure(g, psi).rho_a @ psi).real,
+        "f_b_quad": lambda psi: np.vdot(psi, clone_pure(g, psi).rho_b @ psi).real,
+        "f_m_quad": lambda psi: mixed_fidelity(psi, measure_and_prepare(g, psi)),
+    }
+
+
+def test_report_matches_loop_average(rng):
     # the vectorized engine and the generic quadrature must agree exactly
     g = derived_geometry()
     report = fidelity_report(g, resolution=24)
@@ -145,6 +159,14 @@ def test_report_matches_loop_average():
         lambda psi: global_fidelity(psi, clone_pure(g, psi).joint), resolution=24
     )
     assert report.f_av_quad == pytest.approx(loop, abs=1e-13)
+    # All four integrands, also off the canonical frame, where the product
+    # basis is complex, and at a corner: antiparallel sharp axes give p = 0.
+    n = random_unit_vector(rng)
+    for g in (derived_geometry(), random_geometry(rng), build_geometry(n, -n, 1.0, 1.0)):
+        report = fidelity_report(g, resolution=24)
+        for name, integrand in loop_integrands(g).items():
+            loop = sphere_average(integrand, resolution=24)
+            assert getattr(report, name) == pytest.approx(loop, abs=1e-13), name
 
 
 # ----------------------------------------------------------------------

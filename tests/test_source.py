@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no unused imports, no over-long lines, one cache."""
+"""Source hygiene of the package: no unused imports, no over-long lines, one cache,
+no POVM structure in the fidelity module."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,17 @@ def test_frozen_geometry_is_written_only_by_kept():
             and isinstance(node.value, ast.Name) and node.value.id == "object"
         ]
     assert writers == ["spinclone/cloner.py:_kept"]
+
+
+def test_fidelity_reads_no_measurement_axes():
+    # The quadrature takes the four outcome branches from the cloner's K and
+    # P^dag, so the POVM's axes and outcome order stay in measurement and cloner;
+    # the closed forms read only alpha, beta, eta and p.
+    path = PACKAGE / "fidelity.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = sorted(
+        f"{node.lineno}:.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"m", "l", "a", "b"}
+    )
+    assert reads == []
