@@ -208,9 +208,7 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
     an infinite residual and the exception as its note.  Random samples are
     drawn lazily, suite by suite, from one generator seeded with ``seed``.
     """
-    for arg, value, low in (("trials", trials, 1), ("grid", grid, 1), ("seed", seed, 0)):
-        if not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{arg} must be an integer >= {low}, got {value!r}")
+    measurement._require_integers(("trials", trials, 1), ("grid", grid, 1), ("seed", seed, 0))
     rng = np.random.default_rng(seed)
     axes = rng.normal(size=(trials, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)

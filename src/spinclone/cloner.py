@@ -64,6 +64,8 @@ ORTHONORMALITY_TOL = 1e-10
 #: Signs of the product states in the cloning unitary, in outcome order.
 _CLONE_SIGNS = (1.0, 1.0, -1.0, -1.0)
 
+_IDENTITY_4 = np.eye(4)
+
 
 class OrthonormalityFailure(RuntimeError):
     """The constructed dilation basis is not orthonormal.
@@ -117,29 +119,36 @@ def _inplane_pair(t: float) -> tuple[np.ndarray, np.ndarray]:
     Matches spin_eigenstates for such axes, including the sign of zero in
     the x component; the amplitudes are real.
     """
-    c, s = np.cos(t / 2), np.sin(t / 2)
+    c, s = math.cos(t / 2), math.sin(t / 2)
     return (np.array([c, s]), np.array([-s, c]))
 
 
-def _frame_map(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frame rows (e1, e2, a) and the SU(2) map V taking z, x, y to a, e1, e2.
+def _frame_map(a: np.ndarray, b: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Frame axis e1 and the SU(2) map V taking z and x to a and e1.
 
     f1, f2 are the images of x, y under [|a+>, |a->] at the angles t, f that
     spin_eigenstates uses for a; chi, the azimuth of b about a measured from
     f1, turns them so that e1 lies along b's component orthogonal to a.
     """
-    t = math.atan2(math.hypot(a[0], a[1]), a[2])
-    f = math.atan2(a[1], a[0])
+    ax, ay, az = a.tolist()
+    t = math.atan2(math.hypot(ax, ay), az)
+    f = math.atan2(ay, ax)
     ct, st, cf, sf = math.cos(t), math.sin(t), math.cos(f), math.sin(f)
-    f1 = np.array([ct * cf * cf + sf * sf, (ct - 1.0) * sf * cf, -st * cf])
-    f2 = np.array([(ct - 1.0) * sf * cf, ct * sf * sf + cf * cf, -st * sf])
-    chi = math.atan2(b @ f2, b @ f1)
+    f1 = (ct * cf * cf + sf * sf, (ct - 1.0) * sf * cf, -st * cf)
+    f2 = ((ct - 1.0) * sf * cf, ct * sf * sf + cf * cf, -st * sf)
+    b = b.tolist()
+    chi = math.atan2(_dot(b, f2), _dot(b, f1))
     cx, sx = math.cos(chi), math.sin(chi)
-    rows = np.stack([cx * f1 + sx * f2, cx * f2 - sx * f1, a])
+    e1 = [cx * x + sx * y for x, y in zip(f1, f2)]
     c, s = math.cos(t / 2), math.sin(t / 2)
     u, w = cmath.exp(-0.5j * chi), cmath.exp(1j * (f - 0.5 * chi))
     v = np.array([[c * u, -s * w.conjugate()], [s * w, c * u.conjugate()]])
-    return rows, v
+    return e1, v
+
+
+def _dot(u, v) -> float:
+    """u . v for two sequences of three floats."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
@@ -153,11 +162,6 @@ def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
     return list((ea[:, None, :, None] * eb[None, :, None, :]).reshape(4, 4))
 
 
-def _signed_angle(v: np.ndarray) -> float:
-    # +0.0 keeps atan2 off the negative branch when x underflows to -0.0
-    return float(np.arctan2(v[0] + 0.0, v[2]))
-
-
 def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frame map W = V (x) V plus the canonical-frame dilation and product vectors.
 
@@ -165,31 +169,31 @@ def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray,
     the products |a_i>|b_j> in outcome order.  Raises :class:`OrthonormalityFailure`
     if the Gram matrix of ``w @ vecs.T`` misses the identity by > ``ORTHONORMALITY_TOL``.
     """
-    rot, v = _frame_map(g.a, g.b)
-    t_m, t_l, t_b = (_signed_angle(rot @ n) for n in (g.m, g.l, g.b))
+    e1, v = _frame_map(g.a, g.b)
+    a = g.a.tolist()
+    # Signed polar angle in the canonical x-z plane; +0.0 keeps atan2 off the
+    # negative branch when the x component underflows to -0.0
+    t_m, t_l, t_b = (math.atan2(_dot(n, e1) + 0.0, _dot(n, a))
+                     for n in (g.m.tolist(), g.l.tolist(), g.b.tolist()))
     half = 0.5 * (t_m - t_l)
-    cos_e, sin_e = -np.cos(half), np.sin(half)
-    m_plus, m_minus = _inplane_pair(t_m)
-    l_plus, l_minus = _inplane_pair(t_l)
-    a_pair = np.array(_inplane_pair(0.0))
-    b_pair = np.array(_inplane_pair(t_b))
-    a_plus, a_minus = a_pair
+    cos_e, sin_e = -math.cos(half), math.sin(half)
     # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry
     p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p
-    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
-    # Row i holds the first-qubit factors paired with (|b+>, |b->) in
-    # vector i; the l eigenstates enter on the antipodal branch.
-    factors = np.array([
-        [sp * m_plus, sq * a_plus],
-        [-sq * l_plus, -sp * (cos_e * a_plus + sin_e * a_minus)],
-        [-sq * l_minus, sp * (sin_e * a_plus - cos_e * a_minus)],
-        [sp * m_minus, sq * a_minus],
-    ])
-    vecs = (factors.transpose(0, 2, 1) @ b_pair).reshape(4, 4)
-    prods = np.einsum("ij,kl->ikjl", a_pair, b_pair).reshape(4, 4)
-    w = np.einsum("ij,kl->ikjl", v, v).reshape(4, 4)
+    sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
+    # Rows m+, m-, l+, l-, a+, a-, b+, b-
+    pairs = np.concatenate([*_inplane_pair(t_m), *_inplane_pair(t_l), *_inplane_pair(0.0),
+                            *_inplane_pair(t_b)]).reshape(8, 2)
+    # First-qubit factors of the four vectors, in outcome order: paired with
+    # |b+> the m and l eigenstates (l on the antipodal branch), paired with
+    # |b-> a+, a- and their turns by e.
+    with_plus = np.array([sp, -sq, -sq, sp])[:, None] * pairs[[0, 2, 3, 1]]
+    with_minus = np.array([[sq, 0.0], [-sp * cos_e, -sp * sin_e],
+                           [sp * sin_e, -sp * cos_e], [0.0, sq]]) @ pairs[4:6]
+    vecs = (with_plus[:, :, None] * pairs[6] + with_minus[:, :, None] * pairs[7]).reshape(4, 4)
+    prods = (pairs[4:6, None, :, None] * pairs[None, 6:, None, :]).reshape(4, 4)
+    w = (v[:, None, :, None] * v[None, :, None, :]).reshape(4, 4)
     mapped = w @ vecs.T
-    residual = float(np.max(np.abs(mapped.conj().T @ mapped - np.eye(4))))
+    residual = float(np.abs(mapped.conj().T @ mapped - _IDENTITY_4).max())
     if not residual <= ORTHONORMALITY_TOL:
         raise OrthonormalityFailure(
             f"dilation basis Gram residual {residual:.3e} exceeds {ORTHONORMALITY_TOL:.0e}; "

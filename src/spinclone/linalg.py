@@ -42,7 +42,7 @@ def as_unit_vector(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {n.shape}")
-    norm = np.linalg.norm(n)
+    norm = math.hypot(*n.tolist())
     if not abs(norm - 1.0) <= ATOL:
         raise ValueError(f"vector is not unit length: |n| = {norm!r}")
     return n
@@ -53,7 +53,7 @@ def as_state(psi, dim: int = 2) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (dim,):
         raise ValueError(f"expected a state of dimension {dim}, got shape {psi.shape}")
-    norm = np.linalg.norm(psi)
+    norm = math.hypot(*map(abs, psi.tolist()))
     if not abs(norm - 1.0) <= ATOL:
         raise ValueError(f"state is not normalized: |psi| = {norm!r}")
     return psi
@@ -62,18 +62,33 @@ def as_state(psi, dim: int = 2) -> np.ndarray:
 def as_density(rho, dim: int = 2) -> np.ndarray:
     """Validate a density operator: hermitian, unit trace, positive.
 
-    Eigenvalues are allowed to dip to -ATOL to absorb roundoff.
+    Eigenvalues are allowed to dip to -ATOL to absorb roundoff.  For
+    ``dim=2`` every check is a closed form on the four entries; the
+    smallest eigenvalue tr/2 - hypot((r00 - r11)/2, |r10|) reads the lower
+    triangle, as ``np.linalg.eigvalsh`` does.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} operator, got shape {rho.shape}")
-    skew = np.max(np.abs(rho - rho.conj().T))
-    if not skew <= ATOL:
-        raise ValueError(f"operator is not hermitian: max |rho - rho^dag| = {float(skew)!r}")
-    tr = np.trace(rho).real
+    if dim == 2:
+        r00, r01, r10, r11 = rho.ravel().tolist()
+        # The entries of |rho - rho^dag|; a nan or inf in rho makes one of them nan or inf
+        skews = [abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()),
+                 abs(r11 - r11.conjugate())]
+        tr = r00.real + r11.real
+    else:
+        skews = np.abs(rho - rho.conj().T).ravel().tolist()
+        tr = np.trace(rho).real
+    if not all(x <= ATOL for x in skews):
+        raise ValueError(
+            f"operator is not hermitian: max |rho - rho^dag| = {float(np.max(skews))!r}"
+        )
     if not abs(tr - 1.0) <= ATOL:
-        raise ValueError(f"operator does not have unit trace: tr = {tr!r}")
-    lowest = np.linalg.eigvalsh(rho).min()
+        raise ValueError(f"operator does not have unit trace: tr = {float(tr)!r}")
+    if dim == 2:
+        lowest = 0.5 * tr - math.hypot(0.5 * (r00.real - r11.real), abs(r10))
+    else:
+        lowest = np.linalg.eigvalsh(rho).min()
     if not lowest >= -ATOL:
         raise ValueError(
             f"operator is not positive semidefinite: smallest eigenvalue {float(lowest)!r}"

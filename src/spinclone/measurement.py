@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, IDENTITY_2, _pauli, as_density, as_unit_vector
+from .linalg import ATOL, IDENTITY_2, PAULI, as_density, as_unit_vector
 
 #: Outcome labels, ordered (a-outcome, b-outcome).
 OUTCOME_LABELS = ("++", "+-", "-+", "--")
@@ -35,6 +35,9 @@ SATURATION_TOL = 1e-9
 #: Below this weight the corresponding intermediate axis is treated as
 #: unused and aliased to the other one.
 DEGENERATE_TOL = 1e-12
+
+# Row k is sigma_k flattened, so an (N, 3) array of axes times it gives each n.sigma
+_PAULI_ROWS = PAULI.reshape(3, 4)
 
 
 class NonSaturating(ValueError):
@@ -154,12 +157,15 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not -ATOL <= val <= 1.0 + ATOL:
             raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
+    ax, ay, az = a.tolist()
+    bx, by, bz = b.tolist()
     # atan2 of the chord lengths keeps angles that arccos(a.b) rounds to 0 or pi
-    eta = 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+    eta = 2.0 * math.atan2(math.hypot(ax - bx, ay - by, az - bz),
+                           math.hypot(ax + bx, ay + by, az + bz))
     vec_sum = alpha * a + beta * b
     vec_diff = alpha * a - beta * b
-    p = 0.5 * float(np.linalg.norm(vec_sum))
-    q = 0.5 * float(np.linalg.norm(vec_diff))
+    p = 0.5 * math.hypot(*vec_sum.tolist())
+    q = 0.5 * math.hypot(*vec_diff.tolist())
     residual = 2.0 * (p + q) - 2.0
     if abs(residual) > SATURATION_TOL:
         raise NonSaturating(residual)
@@ -174,7 +180,9 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
     else:
         m = vec_sum / (2.0 * p)
         l = vec_diff / (2.0 * q)
-    epsilon = math.atan2(np.linalg.norm(m - l), np.linalg.norm(m + l))
+    (mx, my, mz), (lx, ly, lz) = m.tolist(), l.tolist()
+    epsilon = math.atan2(math.hypot(mx - lx, my - ly, mz - lz),
+                         math.hypot(mx + lx, my + ly, mz + lz))
     for arr in (a, b, m, l):
         arr.setflags(write=False)
     return MeasurementGeometry(
@@ -185,6 +193,8 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
 
 def geometry_from_angles(alpha: float, beta: float, eta: float) -> MeasurementGeometry:
     """Geometry in the canonical frame: a along z, b in the x-z plane."""
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([np.sin(eta), 0.0, np.cos(eta)])
     return build_geometry(a, b, alpha, beta)
@@ -197,14 +207,19 @@ def build_povm(g: MeasurementGeometry) -> Povm4:
     pair weight 1-p on the l axis.  The four elements are positive and
     sum to the identity.
     """
-    # m and l are the geometry's own unit axes, validated when it was built
-    sm, sl = _pauli(g.m), _pauli(g.l)
-    return Povm4(
-        pp=g.p / 2 * (IDENTITY_2 + sm),
-        pm=(1 - g.p) / 2 * (IDENTITY_2 + sl),
-        mp=(1 - g.p) / 2 * (IDENTITY_2 - sl),
-        mm=g.p / 2 * (IDENTITY_2 - sm),
-    )
+    return Povm4(*_povm_elements(g))
+
+
+def _povm_elements(g: MeasurementGeometry) -> np.ndarray:
+    """The four elements of :func:`build_povm` as one (4, 2, 2) array, in outcome order.
+
+    Element k is w_k/2 (1 + n_k.sigma) with weights (p, 1-p, 1-p, p) on the
+    axes (m, l, -l, -m); m and l are the geometry's own unit axes, validated
+    when it was built.
+    """
+    weights = np.array([g.p, 1 - g.p, 1 - g.p, g.p]).reshape(4, 1, 1) / 2
+    axes = np.array([g.m, g.l, -g.l, -g.m])
+    return weights * (IDENTITY_2 + (axes @ _PAULI_ROWS).reshape(4, 2, 2))
 
 
 def _born_probabilities(g: MeasurementGeometry, rho: np.ndarray) -> np.ndarray:
@@ -213,8 +228,7 @@ def _born_probabilities(g: MeasurementGeometry, rho: np.ndarray) -> np.ndarray:
     tr(rho Pi) is the sum of Pi_ij rho_ji, so one 4x4 product of the
     flattened elements of :func:`build_povm` with rho^T gives all four.
     """
-    elements = np.reshape(build_povm(g).elements, (4, 4))
-    return (elements @ rho.T.ravel()).real
+    return (_povm_elements(g).reshape(4, 4) @ rho.T.ravel()).real
 
 
 def marginal_operators(povm: Povm4):
@@ -240,15 +254,22 @@ def joint_distribution(rho, povm: Povm4) -> JointDistribution:
     return JointDistribution(*probs)
 
 
+def _require_integers(*limits: tuple[str, object, int]) -> None:
+    """Raise ValueError for the first (name, value, low) whose value is not an integer >= low."""
+    for name, value, low in limits:
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def sample_outcomes(rho, g: MeasurementGeometry, n: int, seed: int = 0) -> dict[str, int]:
     """Draw n independent outcomes of the joint measurement on rho.
 
     Sampling uses numpy's PCG64 generator seeded with ``seed``; identical
     inputs and seed give identical counts.  Returns counts keyed by
-    outcome label.
+    outcome label.  ``n`` must be an integer >= 1 and ``seed`` an integer
+    >= 0 (Python or numpy); anything else raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _require_integers(("n", n, 1), ("seed", seed, 0))
     probs = np.clip(_born_probabilities(g, as_density(rho, dim=2)), 0.0, 1.0)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

@@ -1,5 +1,11 @@
+import cmath
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinclone import (
     bloch_from_density,
@@ -11,7 +17,7 @@ from spinclone import (
 )
 from spinclone import build_geometry, clone_pure
 from spinclone.cloner import _inplane_pair
-from spinclone.linalg import _bloch, _reduced, as_density, as_state, as_unit_vector
+from spinclone.linalg import ATOL, _bloch, _reduced, as_density, as_state, as_unit_vector
 
 from conftest import random_density, random_pure_state, random_unit_vector
 
@@ -239,3 +245,73 @@ def test_partial_trace_checks_keep_first():
     # an all-zero operator would fail the density check; the bad keep is reported instead
     with pytest.raises(ValueError, match="keep must be 1 or 2, got 3"):
         partial_trace(np.zeros((4, 4)), keep=3)
+
+
+# ----------------------------------------------------------------------
+# the closed-form 2x2 density checks against numpy's general ones
+
+def reference_density_check(rho):
+    """(message prefix or None, margin) from numpy's general checks on rho.
+
+    The margin is the smallest distance of a checked value from its bound,
+    nan if a value is nan; np.linalg.eigvalsh reads the lower triangle.
+    """
+    with np.errstate(invalid="ignore"):
+        skew = np.max(np.abs(rho - rho.conj().T))
+    margin = abs(skew - ATOL)
+    if not skew <= ATOL:
+        return "operator is not hermitian", margin
+    tr_error = abs(np.trace(rho).real - 1.0)
+    margin = min(margin, abs(tr_error - ATOL))
+    if not tr_error <= ATOL:
+        return "operator does not have unit trace", margin
+    lowest = np.linalg.eigvalsh(rho).min()
+    margin = min(margin, abs(lowest + ATOL))
+    if not lowest >= -ATOL:
+        return "operator is not positive semidefinite", margin
+    return None, margin
+
+
+_units = st.floats(-4.0, 4.0)  # offsets from a bound, in units of ATOL
+_angles = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def near_bound_densities(draw):
+    """Unit-trace 2x2 operators with the smallest eigenvalue within 4 ATOL of -ATOL,
+    then one entry perturbed: a skew or trace shift near ATOL, or a nan or inf."""
+    lowest = -ATOL + draw(_units) * ATOL
+    theta, phi = draw(st.floats(0.0, math.pi)), draw(_angles)
+    top = np.array([math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)])
+    bottom = np.array([-top[1].conjugate(), top[0]])
+    rho = (1.0 - lowest) * np.outer(top, top.conj()) + lowest * np.outer(bottom, bottom.conj())
+    kind = draw(st.sampled_from(["none", "off_skew", "diag_skew", "trace", "non_finite"]))
+    size = (1.0 + draw(_units) / 4) * ATOL
+    if kind == "off_skew":
+        rho[0, 1] += size * cmath.exp(1j * draw(_angles))
+    elif kind == "diag_skew":
+        i = draw(st.sampled_from([0, 1]))
+        rho[i, i] += 0.5j * size
+    elif kind == "trace":
+        rho[1, 1] += math.copysign(size, draw(_units))
+    elif kind == "non_finite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                                    complex(math.nan, 0.0), complex(0.0, math.nan)]))
+        rho[draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))] = bad
+    return rho
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(rho=near_bound_densities())
+def test_as_density_2x2_matches_eigvalsh(rho):
+    want, margin = reference_density_check(rho)
+    try:
+        as_density(rho)
+        got = None
+    except ValueError as err:
+        got, message = str(err).split(":")[0], str(err)
+    if not margin <= 1e-14:
+        assert got == want
+    if got == "operator is not positive semidefinite":
+        lowest = float(re.search(r"smallest eigenvalue (\S+)$", message).group(1))
+        assert abs(lowest - np.linalg.eigvalsh(rho).min()) <= 1e-15

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,31 @@ def test_sample_outcomes_single_draw():
     assert set(counts) == set(OUTCOME_LABELS)
 
 
+@pytest.mark.parametrize("n, message", [
+    (2.5, "n must be an integer >= 1, got 2.5"),
+    (math.nan, "n must be an integer >= 1, got nan"),
+    ("7", "n must be an integer >= 1, got '7'"),
+    (0, "n must be an integer >= 1, got 0"),
+])
+def test_sample_outcomes_rejects_a_bad_count(n, message):
+    g = build_geometry(A_HAT, B_HAT, 0.6, 0.8)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_outcomes(np.eye(2) / 2, g, n)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_sample_outcomes_rejects_a_bad_seed(seed):
+    g = build_geometry(A_HAT, B_HAT, 0.6, 0.8)
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+        sample_outcomes(np.eye(2) / 2, g, 10, seed=seed)
+
+
+def test_sample_outcomes_takes_numpy_integers():
+    g = build_geometry(A_HAT, B_HAT, 0.6, 0.8)
+    counts = sample_outcomes(np.eye(2) / 2, g, np.int64(100), seed=np.int32(3))
+    assert counts == sample_outcomes(np.eye(2) / 2, g, 100, seed=3)
+
+
 def born_test_geometries(rng):
     """200 random-frame geometries, then (anti)parallel axes: the p = 1 and p = 0 corners."""
     geometries = [random_geometry(rng) for _ in range(200)]
@@ -375,6 +401,13 @@ def test_optimality_lhs_universal_sharpness():
 
 def test_optimality_lhs_saturating_pair():
     assert optimality_lhs(0.6, 0.8, np.pi / 2) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_geometry_from_angles_rejects_non_finite_eta(eta):
+    # the check runs before sin and cos, so no RuntimeWarning is raised either
+    with pytest.raises(ValueError, match=f"^eta must be finite, got {eta!r}$"):
+        geometry_from_angles(0.5, 0.5, eta)
 
 
 def test_geometry_from_angles_matches_explicit_axes():
