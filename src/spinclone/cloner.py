@@ -20,7 +20,10 @@ with one geometry builds the machine once.  Both are read by the clone
 functions and by the sphere averages of :mod:`spinclone.fidelity`, which
 split K|psi> into its four product-basis branches.  The public
 :func:`clone_unitary`, :func:`naimark_basis` and :func:`product_basis`
-still build fresh arrays on every call.
+still build fresh arrays on every call.  A clone reads its reduced states
+and Bloch vectors off the joint's entries: with J the 2x2 reshape of a
+pure output, rho_a = J J^dag and rho_b = J^T J^*; for a mixed output they
+are block sums of K rho K^dag.
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _bloch, _reduced, as_density, as_state, spin_eigenstates
+from .linalg import _dot, _spin_eigenstates, as_density, as_state
 from .measurement import DEGENERATE_TOL, MeasurementGeometry, _born_probabilities
 
 #: Gram residual above which the basis constructor refuses to return.
@@ -123,6 +126,10 @@ def _inplane_pair(t: float) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([c, s]), np.array([-s, c]))
 
 
+#: a+, a- in the canonical frame, where a lies along z.
+_A_PAIR = np.array(_inplane_pair(0.0))
+
+
 def _frame_map(a: np.ndarray, b: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Frame axis e1 and the SU(2) map V taking z and x to a and e1.
 
@@ -146,18 +153,13 @@ def _frame_map(a: np.ndarray, b: np.ndarray) -> tuple[list[float], np.ndarray]:
     return e1, v
 
 
-def _dot(u, v) -> float:
-    """u . v for two sequences of three floats."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
     """Product states |a_i>|b_j> in outcome order, under package conventions.
 
     These are the states prepared by the measure-and-prepare scheme and the
     basis in which clone amplitudes are reported.
     """
-    ea, eb = np.array(spin_eigenstates(g.a)), np.array(spin_eigenstates(g.b))
+    ea, eb = np.array(_spin_eigenstates(g.a)), np.array(_spin_eigenstates(g.b))
     # Row 2i + j, entry 2k + l, is a_i[k] b_j[l]: np.kron of the two pairs, by broadcasting
     return list((ea[:, None, :, None] * eb[None, :, None, :]).reshape(4, 4))
 
@@ -180,17 +182,19 @@ def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray,
     # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry
     p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p
     sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    # Rows m+, m-, l+, l-, a+, a-, b+, b-
-    pairs = np.concatenate([*_inplane_pair(t_m), *_inplane_pair(t_l), *_inplane_pair(0.0),
-                            *_inplane_pair(t_b)]).reshape(8, 2)
-    # First-qubit factors of the four vectors, in outcome order: paired with
-    # |b+> the m and l eigenstates (l on the antipodal branch), paired with
-    # |b-> a+, a- and their turns by e.
-    with_plus = np.array([sp, -sq, -sq, sp])[:, None] * pairs[[0, 2, 3, 1]]
-    with_minus = np.array([[sq, 0.0], [-sp * cos_e, -sp * sin_e],
-                           [sp * sin_e, -sp * cos_e], [0.0, sq]]) @ pairs[4:6]
-    vecs = (with_plus[:, :, None] * pairs[6] + with_minus[:, :, None] * pairs[7]).reshape(4, 4)
-    prods = (pairs[4:6, None, :, None] * pairs[None, 6:, None, :]).reshape(4, 4)
+    (mp0, mp1), (mm0, mm1), (lp0, lp1), (lm0, lm1) = np.concatenate(
+        [*_inplane_pair(t_m), *_inplane_pair(t_l)]).reshape(4, 2).tolist()
+    # factors[k][i][j]: amplitude i of the first-qubit factor of vector k that
+    # pairs with |b+> (j = 0) or |b-> (j = 1), in outcome order.  With |b+> come
+    # the m eigenstates and the l eigenstates on the antipodal branch; with |b->
+    # come a+, a- (the unit vectors, a lying along z) and their turns by e.
+    factors = np.array([[[sp * mp0, sq], [sp * mp1, 0.0]],
+                        [[-sq * lp0, -sp * cos_e], [-sq * lp1, -sp * sin_e]],
+                        [[-sq * lm0, sp * sin_e], [-sq * lm1, -sp * cos_e]],
+                        [[sp * mm0, 0.0], [sp * mm1, sq]]])
+    b_pair = np.array(_inplane_pair(t_b))  # rows b+, b-
+    vecs = (factors @ b_pair).reshape(4, 4)
+    prods = (_A_PAIR[:, None, :, None] * b_pair[None, :, None, :]).reshape(4, 4)
     w = (v[:, None, :, None] * v[None, :, None, :]).reshape(4, 4)
     mapped = w @ vecs.T
     residual = float(np.abs(mapped.conj().T @ mapped - _IDENTITY_4).max())
@@ -242,7 +246,7 @@ def _kept(g: MeasurementGeometry, name: str, build) -> np.ndarray:
 def _isometry(g: MeasurementGeometry) -> np.ndarray:
     """Clone isometry K = U (1 (x) |b+>), 4x2: K psi is U applied to |psi>|b+>."""
     return _kept(g, "_clone_isometry",
-                 lambda g: clone_unitary(g).reshape(4, 2, 2) @ spin_eigenstates(g.b)[0])
+                 lambda g: clone_unitary(g).reshape(4, 2, 2) @ _spin_eigenstates(g.b)[0])
 
 
 def _product_dagger(g: MeasurementGeometry) -> np.ndarray:
@@ -250,11 +254,11 @@ def _product_dagger(g: MeasurementGeometry) -> np.ndarray:
     return _kept(g, "_clone_product_dagger", lambda g: np.conj(product_basis(g)))
 
 
-def _output(joint: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray, probabilities: np.ndarray,
-            lambdas: np.ndarray | None = None) -> CloneOutput:
-    """Package a clone with reduced states rho_a and rho_b."""
-    joint.setflags(write=False)
-    return CloneOutput(joint, rho_a, rho_b, _bloch(rho_a), _bloch(rho_b), probabilities, lambdas)
+def _qubit(r00, r10, r11) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian 2x2 rho with diagonal Re r00, Re r11 and lower entry r10, and its Bloch vector."""
+    r00, r11 = r00.real, r11.real
+    return (np.array([[r00, r10.conjugate()], [r10, r11]]),
+            np.array([2.0 * r10.real, 2.0 * r10.imag, r00 - r11]))
 
 
 def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
@@ -265,10 +269,15 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
     """
     psi = as_state(psi)
     joint = _isometry(g) @ psi
+    joint.setflags(write=False)
     lambdas = _product_dagger(g) @ joint
-    # joint[2i + j] = J[i, j], so tracing out either qubit of |joint><joint| is a 2x2 product
-    j = joint.reshape(2, 2)
-    return _output(joint, j @ j.conj().T, j.T @ j.conj(), np.abs(lambdas) ** 2, lambdas)
+    # joint[2i + j] = J[i, j]: tracing out either qubit of |joint><joint| gives
+    # rho_a = J J^dag and rho_b = J^T J^*
+    j00, j01, j10, j11 = joint.tolist()
+    n00, n01, n10, n11 = abs(j00) ** 2, abs(j01) ** 2, abs(j10) ** 2, abs(j11) ** 2
+    rho_a, bloch_a = _qubit(n00 + n01, j10 * j00.conjugate() + j11 * j01.conjugate(), n10 + n11)
+    rho_b, bloch_b = _qubit(n00 + n10, j01 * j00.conjugate() + j11 * j10.conjugate(), n01 + n11)
+    return CloneOutput(joint, rho_a, rho_b, bloch_a, bloch_b, np.abs(lambdas) ** 2, lambdas)
 
 
 def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
@@ -276,9 +285,14 @@ def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
     rho = as_density(rho, dim=2)
     k, p_dag = _isometry(g), _product_dagger(g)
     joint = k @ rho @ k.conj().T
+    joint.setflags(write=False)
     # diag(P^dag joint P): the product-basis weights of joint
     probs = ((p_dag @ joint) * p_dag.conj()).sum(1).real
-    return _output(joint, *_reduced(joint), probs)
+    # r[2i + j][2k + l]: rho_a sums the diagonal j = l blocks, rho_b the diagonal i = k blocks
+    r = joint.tolist()
+    rho_a, bloch_a = _qubit(r[0][0] + r[1][1], r[2][0] + r[3][1], r[2][2] + r[3][3])
+    rho_b, bloch_b = _qubit(r[0][0] + r[2][2], r[1][0] + r[3][2], r[1][1] + r[3][3])
+    return CloneOutput(joint, rho_a, rho_b, bloch_a, bloch_b, probs)
 
 
 def measure_and_prepare(g: MeasurementGeometry, psi) -> np.ndarray:

@@ -115,7 +115,12 @@ def spin_eigenstates(n) -> tuple[np.ndarray, np.ndarray]:
     The global phases follow the package convention described in the
     module docstring; the pair is orthonormal.
     """
-    x, y, z = as_unit_vector(n).tolist()
+    return _spin_eigenstates(as_unit_vector(n))
+
+
+def _spin_eigenstates(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(+1, -1) eigenstates of n.sigma for a real unit 3-vector, without validation."""
+    x, y, z = n.tolist()
     # atan2 keeps theta accurate near the poles, where arccos(n_z) loses digits
     theta = math.atan2(math.hypot(x, y), z)
     phi = math.atan2(y, x)
@@ -123,6 +128,11 @@ def spin_eigenstates(n) -> tuple[np.ndarray, np.ndarray]:
     plus = np.array([c, cmath.exp(1j * phi) * s])
     minus = np.array([-cmath.exp(-1j * phi) * s, c])
     return plus, minus
+
+
+def _dot(u, v) -> float:
+    """u . v for two sequences of three floats."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def tensor(s1, s2) -> np.ndarray:

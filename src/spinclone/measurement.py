@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, IDENTITY_2, PAULI, as_density, as_unit_vector
+from .linalg import ATOL, IDENTITY_2, PAULI, _dot, as_density, as_unit_vector
 
 #: Outcome labels, ordered (a-outcome, b-outcome).
 OUTCOME_LABELS = ("++", "+-", "-+", "--")
@@ -157,36 +157,36 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not -ATOL <= val <= 1.0 + ATOL:
             raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
+    alpha, beta = float(alpha), float(beta)
     ax, ay, az = a.tolist()
     bx, by, bz = b.tolist()
     # atan2 of the chord lengths keeps angles that arccos(a.b) rounds to 0 or pi
     eta = 2.0 * math.atan2(math.hypot(ax - bx, ay - by, az - bz),
                            math.hypot(ax + bx, ay + by, az + bz))
-    vec_sum = alpha * a + beta * b
-    vec_diff = alpha * a - beta * b
-    p = 0.5 * math.hypot(*vec_sum.tolist())
-    q = 0.5 * math.hypot(*vec_diff.tolist())
+    vec_sum = [alpha * ax + beta * bx, alpha * ay + beta * by, alpha * az + beta * bz]
+    vec_diff = [alpha * ax - beta * bx, alpha * ay - beta * by, alpha * az - beta * bz]
+    p = 0.5 * math.hypot(*vec_sum)
+    q = 0.5 * math.hypot(*vec_diff)
     residual = 2.0 * (p + q) - 2.0
     if abs(residual) > SATURATION_TOL:
         raise NonSaturating(residual)
     # When one weight vanishes its axis is undefined; alias it to the other
     # axis, whose operator weight is zero, so the physics is unaffected.
     if 1.0 - p < DEGENERATE_TOL:
-        m = vec_sum / (2.0 * p)
-        l = m.copy()
+        m = l = [x / (2.0 * p) for x in vec_sum]
     elif p < DEGENERATE_TOL:
-        l = vec_diff / (2.0 * q)
-        m = l.copy()
+        m = l = [x / (2.0 * q) for x in vec_diff]
     else:
-        m = vec_sum / (2.0 * p)
-        l = vec_diff / (2.0 * q)
-    (mx, my, mz), (lx, ly, lz) = m.tolist(), l.tolist()
+        m = [x / (2.0 * p) for x in vec_sum]
+        l = [x / (2.0 * q) for x in vec_diff]
+    (mx, my, mz), (lx, ly, lz) = m, l
     epsilon = math.atan2(math.hypot(mx - lx, my - ly, mz - lz),
                          math.hypot(mx + lx, my + ly, mz + lz))
+    m, l = np.array(m), np.array(l)
     for arr in (a, b, m, l):
         arr.setflags(write=False)
     return MeasurementGeometry(
-        a=a, b=b, alpha=float(alpha), beta=float(beta), eta=eta,
+        a=a, b=b, alpha=alpha, beta=beta, eta=eta,
         m=m, l=l, p=p, epsilon=epsilon,
     )
 
@@ -210,25 +210,36 @@ def build_povm(g: MeasurementGeometry) -> Povm4:
     return Povm4(*_povm_elements(g))
 
 
+def _outcome_terms(g: MeasurementGeometry) -> tuple[tuple[float, ...], tuple[list[float], ...]]:
+    """Weights w_k and axes n_k of the four POVM elements w_k/2 (1 + n_k.sigma).
+
+    In outcome order (++, +-, -+, --) the weights are (p, 1-p, 1-p, p) and
+    the axes (m, l, -l, -m); m and l are the geometry's own unit axes,
+    validated when it was built.
+    """
+    m, l = g.m.tolist(), g.l.tolist()
+    q = 1 - g.p
+    return (g.p, q, q, g.p), (m, l, [-x for x in l], [-x for x in m])
+
+
 def _povm_elements(g: MeasurementGeometry) -> np.ndarray:
-    """The four elements of :func:`build_povm` as one (4, 2, 2) array, in outcome order.
+    """The four elements of :func:`build_povm` as one (4, 2, 2) array, in outcome order."""
+    weights, axes = _outcome_terms(g)
+    weights = np.array(weights).reshape(4, 1, 1) / 2
+    return weights * (IDENTITY_2 + (np.array(axes) @ _PAULI_ROWS).reshape(4, 2, 2))
 
-    Element k is w_k/2 (1 + n_k.sigma) with weights (p, 1-p, 1-p, p) on the
-    axes (m, l, -l, -m); m and l are the geometry's own unit axes, validated
-    when it was built.
+
+def _born_probabilities(g: MeasurementGeometry, rho: np.ndarray) -> list[float]:
+    """Born probabilities tr(rho Pi_k) of the four outcomes on a 2x2 rho, without validation.
+
+    With rho's trace t and Bloch vector c = Re tr(rho sigma) read from its
+    entries, tr(rho Pi_k) = w_k/2 (t + n_k.c).
     """
-    weights = np.array([g.p, 1 - g.p, 1 - g.p, g.p]).reshape(4, 1, 1) / 2
-    axes = np.array([g.m, g.l, -g.l, -g.m])
-    return weights * (IDENTITY_2 + (axes @ _PAULI_ROWS).reshape(4, 2, 2))
-
-
-def _born_probabilities(g: MeasurementGeometry, rho: np.ndarray) -> np.ndarray:
-    """Born probabilities tr(rho Pi) of the four outcomes on a 2x2 rho, without validation.
-
-    tr(rho Pi) is the sum of Pi_ij rho_ji, so one 4x4 product of the
-    flattened elements of :func:`build_povm` with rho^T gives all four.
-    """
-    return (_povm_elements(g).reshape(4, 4) @ rho.T.ravel()).real
+    r00, r01, r10, r11 = rho.ravel().tolist()
+    trace = r00.real + r11.real
+    c = ((r01 + r10).real, (r10 - r01).imag, (r00 - r11).real)
+    weights, axes = _outcome_terms(g)
+    return [0.5 * w * (trace + _dot(n, c)) for w, n in zip(weights, axes)]
 
 
 def marginal_operators(povm: Povm4):
@@ -270,11 +281,10 @@ def sample_outcomes(rho, g: MeasurementGeometry, n: int, seed: int = 0) -> dict[
     >= 0 (Python or numpy); anything else raises ``ValueError``.
     """
     _require_integers(("n", n, 1), ("seed", seed, 0))
-    probs = np.clip(_born_probabilities(g, as_density(rho, dim=2)), 0.0, 1.0)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, probs)
-    return dict(zip(OUTCOME_LABELS, (int(c) for c in counts)))
+    probs = [min(max(x, 0.0), 1.0) for x in _born_probabilities(g, as_density(rho, dim=2))]
+    total = sum(probs)
+    counts = np.random.default_rng(seed).multinomial(n, [x / total for x in probs])
+    return dict(zip(OUTCOME_LABELS, counts.tolist()))
 
 
 def chi2_sf(x: float, dof: int) -> float:

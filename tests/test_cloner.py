@@ -28,7 +28,7 @@ from spinclone import (
 from spinclone.cloner import product_basis
 from spinclone.linalg import as_density
 
-from conftest import random_density, random_geometry, random_pure_state
+from conftest import random_density, random_geometry, random_pure_state, random_unit_vector
 
 A_HAT = np.array([0.0, 0.0, 1.0])
 B_HAT = np.array([1.0, 0.0, 0.0])
@@ -491,3 +491,20 @@ def test_failed_build_keeps_nothing(monkeypatch):
         clone_pure(g, psi)
     monkeypatch.undo()
     assert _clone_fields_equal(clone_pure(g, psi), clone_pure(derived_geometry(), psi))
+
+
+def test_clone_reductions_match_partial_trace(rng):
+    # The reduced states and Bloch vectors are closed forms on the joint's
+    # entries; the oracle is the checked 4x4 partial trace of the same joint.
+    geometries = [random_geometry(rng) for _ in range(300)]
+    for alpha in (0.0, 0.3, 1.0):
+        for a in (A_HAT, random_unit_vector(rng)):
+            geometries += [build_geometry(a, a, alpha, 1.0), build_geometry(a, -a, alpha, 1.0)]
+    assert {0.0, 1.0} <= {g.p for g in geometries}
+    for g in geometries:
+        pure, mixed = clone_pure(g, random_pure_state(rng)), clone_mixed(g, random_density(rng))
+        for out, full in ((pure, np.outer(pure.joint, pure.joint.conj())), (mixed, mixed.joint)):
+            for keep, rho, bloch in ((1, out.rho_a, out.bloch_a), (2, out.rho_b, out.bloch_b)):
+                want = partial_trace(full, keep=keep)
+                assert np.max(np.abs(rho - want)) <= 1e-15
+                assert np.max(np.abs(bloch - bloch_from_density(want))) <= 1e-15

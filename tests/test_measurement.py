@@ -415,3 +415,19 @@ def test_geometry_from_angles_matches_explicit_axes():
     g2 = build_geometry(A_HAT, [1.0, 0.0, 0.0], 0.6, 0.8)
     assert np.allclose(g1.m, g2.m, atol=1e-12)
     assert g1.p == pytest.approx(g2.p, abs=1e-15)
+
+
+def test_sample_outcomes_on_a_sharp_eigenstate(rng):
+    # p = 1 and the input |m->: three Born probabilities are 0 up to rounding,
+    # which can leave one at -5.6e-17; the draw still gives n plain ints on "--".
+    rounded_below_zero = 0
+    for a in [A_HAT] + [random_unit_vector(rng) for _ in range(30)]:
+        g = build_geometry(a, a, 1.0, 1.0)
+        assert g.p == pytest.approx(1.0, abs=1e-15)
+        minus = spin_eigenstates(g.m)[1]
+        rho = np.outer(minus, minus.conj())
+        rounded_below_zero += min(measurement_module._born_probabilities(g, rho)) < 0.0
+        counts = sample_outcomes(rho, g, 1000, seed=5)
+        assert all(type(c) is int and c >= 0 for c in counts.values())
+        assert counts == {"++": 0, "+-": 0, "-+": 0, "--": 1000}
+    assert rounded_below_zero > 0

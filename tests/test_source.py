@@ -1,5 +1,5 @@
 """Source hygiene of the package: no unused imports, no over-long lines, one cache,
-no POVM structure in the fidelity module."""
+no POVM structure in the fidelity module, no array reductions on the clone stream."""
 
 import ast
 from pathlib import Path
@@ -83,3 +83,27 @@ def test_fidelity_reads_no_measurement_axes():
         if isinstance(node, ast.Attribute) and node.attr in {"m", "l", "a", "b"}
     )
     assert reads == []
+
+
+SCALAR_PATH = {
+    "cloner.py": ("clone_pure", "clone_mixed", "_canonical_dilation"),
+    "measurement.py": ("build_geometry", "sample_outcomes"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(SCALAR_PATH))
+def test_clone_stream_calls_no_array_reductions(module):
+    # The clone stream runs on scalar closed forms: its functions reach for no
+    # LAPACK routine, einsum or clip on arrays of two to sixteen entries.
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = enclosing_functions(tree)
+    calls = sorted(
+        f"{owner[node]}:{ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and owner[node] in SCALAR_PATH[module]
+        and ast.unparse(node.func).startswith(("np.linalg.", "np.einsum", "np.clip"))
+    )
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert set(SCALAR_PATH[module]) <= functions
+    assert calls == []
