@@ -164,10 +164,10 @@ def _angles(args, names):
     return tuple(getattr(args, n) * scale for n in names)
 
 
-def _resolve_beta(policy: str | float, alpha: float, eta: float) -> float:
-    if policy == "max":
-        return measurement.beta_max(alpha, eta)
-    return float(policy)
+def _geometry(policy: str | float, alpha: float, eta: float) -> measurement.MeasurementGeometry:
+    """Canonical-frame geometry at (alpha, eta); beta is beta_max for "max", else float(policy)."""
+    beta = measurement.beta_max(alpha, eta) if policy == "max" else float(policy)
+    return measurement.geometry_from_angles(alpha, beta, eta)
 
 
 def _bloch_state(theta: float, phi: float) -> np.ndarray:
@@ -244,8 +244,7 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
             yield g, raw / np.linalg.norm(raw)
 
     def canonical(points):
-        return (measurement.geometry_from_angles(alpha, measurement.beta_max(alpha, eta), eta)
-                for alpha, eta in points)
+        return (_geometry("max", alpha, eta) for alpha, eta in points)
 
     def pauli_square(n):
         return np.max(np.abs(linalg.pauli_dot(n) @ linalg.pauli_dot(n) - linalg.IDENTITY_2))
@@ -408,9 +407,8 @@ def sweep_rows(cfg: SweepConfig) -> list[dict]:
     rows = []
     for alpha in np.linspace(0.0, 1.0, cfg.alpha_steps):
         for eta in np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_steps):
-            beta = _resolve_beta(cfg.beta_policy, alpha, eta)
-            g = measurement.geometry_from_angles(alpha, beta, eta)
-            rep = fidelity.fidelity_report(g, resolution=cfg.resolution)
+            rep = fidelity.fidelity_report(_geometry(cfg.beta_policy, alpha, eta),
+                                           resolution=cfg.resolution)
             row = {column: getattr(rep, column) for column in SWEEP_COLUMNS[:-1]}
             row["discrepancy_flags"] = ";".join(rep.discrepancies)
             rows.append(row)
@@ -440,8 +438,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_clone(args) -> int:
     eta, theta, phi = _angles(args, ("eta", "theta", "phi"))
-    beta = _resolve_beta(args.beta, args.alpha, eta)
-    g = measurement.geometry_from_angles(args.alpha, beta, eta)
+    g = _geometry(args.beta, args.alpha, eta)
     psi = _bloch_state(theta, phi)
     out = cloner.clone_pure(g, psi)
     c_in = _direction(theta, phi)
@@ -472,8 +469,7 @@ def cmd_sample(args) -> int:
     if not 0.0 <= args.bloch_r <= 1.0:
         raise ValueError(f"argument --bloch-r: must lie in [0, 1], got {args.bloch_r!r}")
     eta, theta, phi = _angles(args, ("eta", "theta", "phi"))
-    beta = _resolve_beta(args.beta, args.alpha, eta)
-    g = measurement.geometry_from_angles(args.alpha, beta, eta)
+    g = _geometry(args.beta, args.alpha, eta)
     rho = linalg.density_from_bloch(args.bloch_r * _direction(theta, phi))
     counts = measurement.sample_outcomes(rho, g, args.n, seed=args.seed)
     expected = measurement._born_probabilities(g, rho)
@@ -499,18 +495,17 @@ def cmd_sample(args) -> int:
 
 # ----------------------------------------------------------------------
 
-def _add_geometry_flags(sub, with_state: bool = True) -> None:
+def _add_geometry_flags(sub) -> None:
     sub.add_argument("--alpha", type=_finite_float, required=True,
                      help="sharpness of the a component")
     sub.add_argument("--beta", type=_beta_flag, default="max",
                      help="sharpness of the b component, or 'max' for the saturating value")
     sub.add_argument("--eta", type=_finite_float, required=True,
                      help="angle between the a and b axes")
-    if with_state:
-        sub.add_argument("--theta", type=_finite_float, default=0.0,
-                         help="polar Bloch angle of the input state")
-        sub.add_argument("--phi", type=_finite_float, default=0.0,
-                         help="azimuthal Bloch angle of the input state")
+    sub.add_argument("--theta", type=_finite_float, default=0.0,
+                     help="polar Bloch angle of the input state")
+    sub.add_argument("--phi", type=_finite_float, default=0.0,
+                     help="azimuthal Bloch angle of the input state")
     sub.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
 

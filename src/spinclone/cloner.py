@@ -41,11 +41,13 @@ makes the basis orthonormal and maximizes the cloning fidelities; it is
 validated wholesale by the orthonormality check in the constructor, which
 fails loudly rather than produce silently wrong statistics.  Arbitrary
 axes are handled by conjugating the real canonical-frame unitary with
-V (x) V, where V = [|a+>, |a->] diag(e^{-i chi/2}, e^{i chi/2}) is built
-from the package eigenstates of a and chi is the azimuth of b about a.
-V is unitary for every pair of axes, so (anti)parallel axes, where chi is
-undefined, need no special case: any chi gives a valid frame, and
-atan2(0, 0) = 0 picks one deterministically.  Mapped canonical
+V (x) V, where V = [|a+>, |a->] diag(e^{-i chi/2}, e^{i chi/2}) takes its
+columns from linalg's eigenstate pair of a.  The same pair gives
+f1 + i f2 = <a-|sigma|a+>, and chi, the phase of b.(f1 + i f2), is the
+azimuth of b about a.  V is unitary for every pair of axes, so
+(anti)parallel axes, where chi is undefined, need no special case: any chi
+gives a valid frame.  Rounding picks it, deterministically, and where
+b.(f1 + i f2) is exactly 0 atan2(0, 0) = 0 does.  Mapped canonical
 eigenstates differ from the package convention by phases that cancel in
 the unitary, so rephasing matters only for :func:`naimark_basis` vectors.
 """
@@ -133,24 +135,20 @@ _A_PAIR = np.array(_inplane_pair(0.0))
 def _frame_map(a: np.ndarray, b: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Frame axis e1 and the SU(2) map V taking z and x to a and e1.
 
-    f1, f2 are the images of x, y under [|a+>, |a->] at the angles t, f that
-    spin_eigenstates uses for a; chi, the azimuth of b about a measured from
-    f1, turns them so that e1 lies along b's component orthogonal to a.
+    With (a+, a-) the package eigenstates of a, the real and imaginary parts
+    f1, f2 of <a-|sigma|a+> are the images of x, y under [|a+>, |a->].  chi,
+    the phase of b.(f1 + i f2), is the azimuth of b about a measured from f1;
+    turning by it puts e1 = Re(e^{-i chi} (f1 + i f2)) along b's component
+    orthogonal to a, and V = [|a+> e^{-i chi/2}, |a-> e^{i chi/2}].
     """
-    ax, ay, az = a.tolist()
-    t = math.atan2(math.hypot(ax, ay), az)
-    f = math.atan2(ay, ax)
-    ct, st, cf, sf = math.cos(t), math.sin(t), math.cos(f), math.sin(f)
-    f1 = (ct * cf * cf + sf * sf, (ct - 1.0) * sf * cf, -st * cf)
-    f2 = ((ct - 1.0) * sf * cf, ct * sf * sf + cf * cf, -st * sf)
-    b = b.tolist()
-    chi = math.atan2(_dot(b, f2), _dot(b, f1))
-    cx, sx = math.cos(chi), math.sin(chi)
-    e1 = [cx * x + sx * y for x, y in zip(f1, f2)]
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    u, w = cmath.exp(-0.5j * chi), cmath.exp(1j * (f - 0.5 * chi))
-    v = np.array([[c * u, -s * w.conjugate()], [s * w, c * u.conjugate()]])
-    return e1, v
+    (p0, p1), (m0, m1) = (pair.tolist() for pair in _spin_eigenstates(a))
+    n0, n1 = m0.conjugate(), m1.conjugate()
+    f = (n0 * p1 + n1 * p0, 1j * (n1 * p0 - n0 * p1), n0 * p0 - n1 * p1)
+    chi = cmath.phase(_dot(b.tolist(), f))
+    turn = cmath.exp(-1j * chi)
+    e1 = [(turn * x).real for x in f]
+    u = cmath.exp(-0.5j * chi)
+    return e1, np.array([[p0 * u, m0 * u.conjugate()], [p1 * u, m1 * u.conjugate()]])
 
 
 def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:

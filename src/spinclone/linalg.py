@@ -37,11 +37,20 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI, IDENTITY_2):
     _m.setflags(write=False)
 
 
+def _real_vector(x) -> np.ndarray:
+    """x as a float 3-vector; ValueError unless it has shape (3,) and an integer or float dtype."""
+    x = np.asarray(x)
+    # Casting would drop an imaginary part or parse text, so other dtypes are refused
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"expected a real 3-vector, got dtype {x.dtype}")
+    if x.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {x.shape}")
+    return x.astype(float, copy=False)
+
+
 def as_unit_vector(n) -> np.ndarray:
     """Validate and return a real 3-vector of unit length."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {n.shape}")
+    n = _real_vector(n)
     norm = math.hypot(*n.tolist())
     if not abs(norm - 1.0) <= ATOL:
         raise ValueError(f"vector is not unit length: |n| = {norm!r}")
@@ -181,10 +190,8 @@ def _bloch(rho2: np.ndarray) -> np.ndarray:
 
 def density_from_bloch(c) -> np.ndarray:
     """Density operator (1 + c.sigma)/2 for a Bloch vector with |c| <= 1."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {c.shape}")
+    c = _real_vector(c)
     norm = np.linalg.norm(c)
     if not norm <= 1.0 + ATOL:
         raise ValueError(f"Bloch vector lies outside the unit ball: |c| = {norm!r}")
-    return 0.5 * (IDENTITY_2 + c[0] * SIGMA_X + c[1] * SIGMA_Y + c[2] * SIGMA_Z)
+    return 0.5 * (IDENTITY_2 + _pauli(c))

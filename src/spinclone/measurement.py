@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, IDENTITY_2, PAULI, _dot, as_density, as_unit_vector
+from .linalg import ATOL, IDENTITY_2, _dot, _pauli, as_density, as_unit_vector
 
 #: Outcome labels, ordered (a-outcome, b-outcome).
 OUTCOME_LABELS = ("++", "+-", "-+", "--")
@@ -35,10 +35,6 @@ SATURATION_TOL = 1e-9
 #: Below this weight the corresponding intermediate axis is treated as
 #: unused and aliased to the other one.
 DEGENERATE_TOL = 1e-12
-
-# Row k is sigma_k flattened, so an (N, 3) array of axes times it gives each n.sigma
-_PAULI_ROWS = PAULI.reshape(3, 4)
-
 
 class NonSaturating(ValueError):
     """Raised when (alpha, beta, axes) do not saturate the admissibility bound."""
@@ -152,14 +148,12 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
         silently altering the sharpness pair would corrupt downstream
         fidelity comparisons.
     """
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
+    ax, ay, az = as_unit_vector(a).tolist()
+    bx, by, bz = as_unit_vector(b).tolist()
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not -ATOL <= val <= 1.0 + ATOL:
             raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
     alpha, beta = float(alpha), float(beta)
-    ax, ay, az = a.tolist()
-    bx, by, bz = b.tolist()
     # atan2 of the chord lengths keeps angles that arccos(a.b) rounds to 0 or pi
     eta = 2.0 * math.atan2(math.hypot(ax - bx, ay - by, az - bz),
                            math.hypot(ax + bx, ay + by, az + bz))
@@ -182,7 +176,8 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
     (mx, my, mz), (lx, ly, lz) = m, l
     epsilon = math.atan2(math.hypot(mx - lx, my - ly, mz - lz),
                          math.hypot(mx + lx, my + ly, mz + lz))
-    m, l = np.array(m), np.array(l)
+    # Fresh arrays, so the geometry neither aliases nor freezes the caller's
+    a, b, m, l = (np.array(x) for x in ([ax, ay, az], [bx, by, bz], m, l))
     for arr in (a, b, m, l):
         arr.setflags(write=False)
     return MeasurementGeometry(
@@ -224,9 +219,7 @@ def _outcome_terms(g: MeasurementGeometry) -> tuple[tuple[float, ...], tuple[lis
 
 def _povm_elements(g: MeasurementGeometry) -> np.ndarray:
     """The four elements of :func:`build_povm` as one (4, 2, 2) array, in outcome order."""
-    weights, axes = _outcome_terms(g)
-    weights = np.array(weights).reshape(4, 1, 1) / 2
-    return weights * (IDENTITY_2 + (np.array(axes) @ _PAULI_ROWS).reshape(4, 2, 2))
+    return np.array([w / 2 * (IDENTITY_2 + _pauli(n)) for w, n in zip(*_outcome_terms(g))])
 
 
 def _born_probabilities(g: MeasurementGeometry, rho: np.ndarray) -> list[float]:

@@ -163,6 +163,23 @@ def test_validators_reject_non_finite(bad):
         density_from_bloch([bad, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [
+    [0.0, 0.0, 1.0 + 1e-3j],
+    [0.1 + 5j, 0.0, 0.0],
+    ["0", "0", "1"],
+    np.array([False, False, True]),
+    [None, 0.0, 1.0],
+], ids=["complex_axis", "complex_bloch", "strings", "bool", "object"])
+def test_validators_reject_non_real_dtypes(bad):
+    # Casting to float would drop the imaginary part or parse the text
+    dtype = re.escape(str(np.asarray(bad).dtype))
+    for validate in (as_unit_vector, density_from_bloch,
+                     lambda n: build_geometry(n, [0.0, 0.0, 1.0], 1.0, 0.0),
+                     lambda n: build_geometry([0.0, 0.0, 1.0], n, 1.0, 0.0)):
+        with pytest.raises(ValueError, match=f"got dtype {dtype}$"):
+            validate(bad)
+
+
 # ----------------------------------------------------------------------
 # closed forms against the general numpy formulas they replace
 

@@ -119,6 +119,18 @@ def test_build_geometry_rejects_non_saturating():
     assert excinfo.value.residual == pytest.approx(1.8 * np.sqrt(2) - 2.0, abs=1e-12)
 
 
+def test_build_geometry_copies_the_callers_axes():
+    # The geometry freezes arrays of its own, never the ones it was given
+    a, b = A_HAT.copy(), B_HAT.copy()
+    g = build_geometry(a, b, 0.6, 0.8)
+    for given, kept in ((a, g.a), (b, g.b)):
+        assert kept is not given and not np.shares_memory(kept, given)
+        assert given.flags.writeable and not kept.flags.writeable
+        assert np.array_equal(kept, given)
+    a[0], b[0] = 0.5, 0.5
+    assert np.array_equal(g.a, A_HAT) and np.array_equal(g.b, B_HAT)
+
+
 def test_build_geometry_invariants(rng):
     for _ in range(1000):
         g = random_geometry(rng)

@@ -1,5 +1,6 @@
 """Source hygiene of the package: no unused imports, no over-long lines, one cache,
-no POVM structure in the fidelity module, no array reductions on the clone stream."""
+no POVM structure in the fidelity module, no array reductions on the clone stream,
+and the spin conventions (n.sigma, the eigenstate half angles) written once."""
 
 import ast
 from pathlib import Path
@@ -107,3 +108,44 @@ def test_clone_stream_calls_no_array_reductions(module):
     functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert set(SCALAR_PATH[module]) <= functions
     assert calls == []
+
+
+def test_only_linalg_names_the_pauli_matrices():
+    # n.sigma is formed by linalg._pauli alone; other modules call it rather
+    # than combine the matrices themselves.
+    pauli = {"SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI"}
+    named = []
+    for path in MODULES:
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set(imported_names(tree))
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named += [f"{path.name}:{name}" for name in sorted(names & pauli)]
+    assert named == []
+
+
+def is_halved(node):
+    """Whether an expression reads x / 2, x * 0.5 or 0.5 * x."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Div):
+        return isinstance(node.right, ast.Constant) and node.right.value == 2
+    return isinstance(node.op, ast.Mult) and any(
+        isinstance(side, ast.Constant) and side.value == 0.5 for side in (node.left, node.right))
+
+
+def test_cloner_takes_half_angles_only_in_its_inplane_pair():
+    # The eigenstates of a come from linalg._spin_eigenstates; the cloner's own
+    # cos/sin of a half angle belong to the real x-z plane pair alone.
+    path = PACKAGE / "cloner.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = enclosing_functions(tree)
+    owners = {
+        owner[node]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.cos", "math.sin")
+        and any(is_halved(arg) for arg in node.args)
+    }
+    assert sorted(owners) == ["_inplane_pair"]
