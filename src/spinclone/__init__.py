@@ -53,6 +53,7 @@ from .fidelity import (
     f_mixed_closed,
     f_single_closed,
     fidelity_report,
+    fidelity_reports,
     global_fidelity,
     haar_states,
     mixed_fidelity,

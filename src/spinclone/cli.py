@@ -402,13 +402,17 @@ def cmd_check(args) -> int:
 # sweep
 
 def sweep_rows(cfg: SweepConfig) -> list[dict]:
-    """Compute the sweep table in grid order (alpha outer, eta inner)."""
+    """Compute the sweep table in grid order (alpha outer, eta inner).
+
+    Each alpha row's geometries are built, and so validated, in eta order,
+    then evaluated together by :func:`spinclone.fidelity.fidelity_reports`.
+    """
     cfg.validate()
     rows = []
+    etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_steps)
     for alpha in np.linspace(0.0, 1.0, cfg.alpha_steps):
-        for eta in np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_steps):
-            rep = fidelity.fidelity_report(_geometry(cfg.beta_policy, alpha, eta),
-                                           resolution=cfg.resolution)
+        geometries = [_geometry(cfg.beta_policy, alpha, eta) for eta in etas]
+        for rep in fidelity.fidelity_reports(geometries, resolution=cfg.resolution):
             row = {column: getattr(rep, column) for column in SWEEP_COLUMNS[:-1]}
             row["discrepancy_flags"] = ";".join(rep.discrepancies)
             rows.append(row)

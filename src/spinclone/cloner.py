@@ -13,17 +13,21 @@ and the cloning unitary maps these onto signed product states:
 
     U = |a+>|b+><pp| + |a+>|b-><pm| - |a->|b+><mp| - |a->|b-><mm|.
 
-The 4x2 isometry K = U (1 (x) |b+>), behind the Gram check of the
-dilation it comes from, and the conjugated product basis P^dag are built
-once per geometry and then kept on it read-only, so cloning many states
-with one geometry builds the machine once.  Both are read by the clone
-functions and by the sphere averages of :mod:`spinclone.fidelity`, which
-split K|psi> into its four product-basis branches.  The public
-:func:`clone_unitary`, :func:`naimark_basis` and :func:`product_basis`
-still build fresh arrays on every call.  A clone reads its reduced states
-and Bloch vectors off the joint's entries: with J the 2x2 reshape of a
-pure output, rho_a = J J^dag and rho_b = J^T J^*; for a mixed output they
-are block sums of K rho K^dag.
+The clone functions and the sphere averages of :mod:`spinclone.fidelity`
+read the machine as the 4x2 isometry K = U (1 (x) |b+>) and the conjugated
+product basis P^dag, built together in one pass per geometry and then kept
+on it read-only, so cloning many states with one geometry builds the
+machine once.  The pass never forms U.  It takes the frame map V, W = V (x) V
+and the real canonical-frame dilation vectors vec_k and products prod_k
+that :func:`clone_unitary` uses, behind the same Gram check on W vec_k, and
+forms K = W K~ V^dag with K~ = sum_k s_k prod_k r_k^T, where r_k is vec_k
+contracted on its second qubit with V^dag |b+>; P^dag comes from the scalar
+eigenstate amplitudes of a and b.  The public :func:`clone_unitary`,
+:func:`naimark_basis` and :func:`product_basis` build fresh arrays on every
+call and are not on the clone path.  A clone reads its reduced states and
+Bloch vectors off the joint's entries: with J the 2x2 reshape of a pure
+output, rho_a = J J^dag and rho_b = J^T J^*; for a mixed output they are
+block sums of K rho K^dag.
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -37,12 +41,15 @@ antipodal half-angle branch (both signs flipped relative to
 :func:`spinclone.linalg.spin_eigenstates`), with cos(e), sin(e) taken at
 e = pi - (angle from l to m)/2 accordingly.  This is the unique sign
 assignment, given the package eigenstate convention for a and b, that
-makes the basis orthonormal and maximizes the cloning fidelities; it is
-validated wholesale by the orthonormality check in the constructor, which
-fails loudly rather than produce silently wrong statistics.  Arbitrary
+makes the basis orthonormal.  Among cloners realising the same joint
+measurement it gives the largest F_a and is Pareto-optimal, but it does not
+maximise F_av or F_b taken alone: other such cloners raise them (measured
+on sampled geometries: by up to 0.12 and 0.33) at a cost in F_a.  The signs
+are validated wholesale by the orthonormality check in the constructor,
+which fails loudly rather than produce silently wrong statistics.  Arbitrary
 axes are handled by conjugating the real canonical-frame unitary with
 V (x) V, where V = [|a+>, |a->] diag(e^{-i chi/2}, e^{i chi/2}) takes its
-columns from linalg's eigenstate pair of a.  The same pair gives
+columns from linalg's eigenstate amplitudes of a.  The same pair gives
 f1 + i f2 = <a-|sigma|a+>, and chi, the phase of b.(f1 + i f2), is the
 azimuth of b about a.  V is unitary for every pair of axes, so
 (anti)parallel axes, where chi is undefined, need no special case: any chi
@@ -60,14 +67,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dot, _spin_eigenstates, as_density, as_state
+from .linalg import _dot, _spin_amplitudes, as_density, as_state
 from .measurement import DEGENERATE_TOL, MeasurementGeometry, _born_probabilities
 
 #: Gram residual above which the basis constructor refuses to return.
 ORTHONORMALITY_TOL = 1e-10
 
 #: Signs of the product states in the cloning unitary, in outcome order.
-_CLONE_SIGNS = (1.0, 1.0, -1.0, -1.0)
+_CLONE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 _IDENTITY_4 = np.eye(4)
 
@@ -132,7 +139,7 @@ def _inplane_pair(t: float) -> tuple[np.ndarray, np.ndarray]:
 _A_PAIR = np.array(_inplane_pair(0.0))
 
 
-def _frame_map(a: np.ndarray, b: np.ndarray) -> tuple[list[float], np.ndarray]:
+def _frame_map(a: list[float], b: list[float]) -> tuple[list[float], np.ndarray]:
     """Frame axis e1 and the SU(2) map V taking z and x to a and e1.
 
     With (a+, a-) the package eigenstates of a, the real and imaginary parts
@@ -141,14 +148,21 @@ def _frame_map(a: np.ndarray, b: np.ndarray) -> tuple[list[float], np.ndarray]:
     turning by it puts e1 = Re(e^{-i chi} (f1 + i f2)) along b's component
     orthogonal to a, and V = [|a+> e^{-i chi/2}, |a-> e^{i chi/2}].
     """
-    (p0, p1), (m0, m1) = (pair.tolist() for pair in _spin_eigenstates(a))
+    (p0, p1), (m0, m1) = _spin_amplitudes(a)
     n0, n1 = m0.conjugate(), m1.conjugate()
     f = (n0 * p1 + n1 * p0, 1j * (n1 * p0 - n0 * p1), n0 * p0 - n1 * p1)
-    chi = cmath.phase(_dot(b.tolist(), f))
+    chi = cmath.phase(_dot(b, f))
     turn = cmath.exp(-1j * chi)
     e1 = [(turn * x).real for x in f]
     u = cmath.exp(-0.5j * chi)
     return e1, np.array([[p0 * u, m0 * u.conjugate()], [p1 * u, m1 * u.conjugate()]])
+
+
+def _products(a_pair, b_pair) -> np.ndarray:
+    """Rows |a_i>|b_j> in outcome order from the eigenstate amplitudes of a and b."""
+    ea, eb = np.array(a_pair), np.array(b_pair)
+    # Row 2i + j, entry 2k + l, is a_i[k] b_j[l]: np.kron of the two pairs, by broadcasting
+    return (ea[:, None, :, None] * eb[None, :, None, :]).reshape(4, 4)
 
 
 def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
@@ -157,39 +171,37 @@ def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
     These are the states prepared by the measure-and-prepare scheme and the
     basis in which clone amplitudes are reported.
     """
-    ea, eb = np.array(_spin_eigenstates(g.a)), np.array(_spin_eigenstates(g.b))
-    # Row 2i + j, entry 2k + l, is a_i[k] b_j[l]: np.kron of the two pairs, by broadcasting
-    return list((ea[:, None, :, None] * eb[None, :, None, :]).reshape(4, 4))
+    return list(_products(_spin_amplitudes(g.a.tolist()), _spin_amplitudes(g.b.tolist())))
 
 
-def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frame map W = V (x) V plus the canonical-frame dilation and product vectors.
+def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, ...]:
+    """Frame map V and W = V (x) V, plus the canonical-frame dilation and product vectors.
 
     Rows of the real 4x4 ``vecs`` and ``prods`` are the dilation vectors and
     the products |a_i>|b_j> in outcome order.  Raises :class:`OrthonormalityFailure`
     if the Gram matrix of ``w @ vecs.T`` misses the identity by > ``ORTHONORMALITY_TOL``.
     """
-    e1, v = _frame_map(g.a, g.b)
-    a = g.a.tolist()
+    a, b = g.a.tolist(), g.b.tolist()
+    e1, v = _frame_map(a, b)
     # Signed polar angle in the canonical x-z plane; +0.0 keeps atan2 off the
     # negative branch when the x component underflows to -0.0
     t_m, t_l, t_b = (math.atan2(_dot(n, e1) + 0.0, _dot(n, a))
-                     for n in (g.m.tolist(), g.l.tolist(), g.b.tolist()))
+                     for n in (g.m.tolist(), g.l.tolist(), b))
     half = 0.5 * (t_m - t_l)
     cos_e, sin_e = -math.cos(half), math.sin(half)
     # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry
     p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p
     sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    (mp0, mp1), (mm0, mm1), (lp0, lp1), (lm0, lm1) = np.concatenate(
-        [*_inplane_pair(t_m), *_inplane_pair(t_l)]).reshape(4, 2).tolist()
+    (mp0, mp1), (mm0, mm1), (lp0, lp1), (lm0, lm1) = (
+        x.tolist() for x in (*_inplane_pair(t_m), *_inplane_pair(t_l)))
     # factors[k][i][j]: amplitude i of the first-qubit factor of vector k that
     # pairs with |b+> (j = 0) or |b-> (j = 1), in outcome order.  With |b+> come
     # the m eigenstates and the l eigenstates on the antipodal branch; with |b->
     # come a+, a- (the unit vectors, a lying along z) and their turns by e.
-    factors = np.array([[[sp * mp0, sq], [sp * mp1, 0.0]],
-                        [[-sq * lp0, -sp * cos_e], [-sq * lp1, -sp * sin_e]],
-                        [[-sq * lm0, sp * sin_e], [-sq * lm1, -sp * cos_e]],
-                        [[sp * mm0, 0.0], [sp * mm1, sq]]])
+    factors = np.array([sp * mp0, sq, sp * mp1, 0.0,
+                        -sq * lp0, -sp * cos_e, -sq * lp1, -sp * sin_e,
+                        -sq * lm0, sp * sin_e, -sq * lm1, -sp * cos_e,
+                        sp * mm0, 0.0, sp * mm1, sq]).reshape(4, 2, 2)
     b_pair = np.array(_inplane_pair(t_b))  # rows b+, b-
     vecs = (factors @ b_pair).reshape(4, 4)
     prods = (_A_PAIR[:, None, :, None] * b_pair[None, :, None, :]).reshape(4, 4)
@@ -201,7 +213,7 @@ def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray,
             f"dilation basis Gram residual {residual:.3e} exceeds {ORTHONORMALITY_TOL:.0e}; "
             "phase or frame convention is broken"
         )
-    return w, vecs, prods
+    return v, w, vecs, prods
 
 
 def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
@@ -211,7 +223,7 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
     constructed vectors misses the identity by more than
     ``ORTHONORMALITY_TOL``.
     """
-    w, vecs, prods = _canonical_dilation(g)
+    _v, w, vecs, prods = _canonical_dilation(g)
     # Phase of each mapped canonical product state relative to spin_eigenstates;
     # dividing it out keeps the unitary in signed product form in that convention.
     phases = np.einsum("ij,ij->i", np.conj(product_basis(g)), prods @ w.T)
@@ -222,34 +234,49 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
 
 def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
     """Two-qubit cloning unitary W U_c W^dag, U_c = sum_i s_i |prod_i><vec_i| real."""
-    w, vecs, prods = _canonical_dilation(g)
+    _v, w, vecs, prods = _canonical_dilation(g)
     u_c = (prods.T * _CLONE_SIGNS) @ vecs
     return w @ u_c @ w.conj().T
 
 
-def _kept(g: MeasurementGeometry, name: str, build) -> np.ndarray:
-    """build(g), built on the first request and then kept on g read-only under name.
+def _build_machine(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Clone isometry K = U (1 (x) |b+>), 4x2, and P^dag = conj(product_basis(g)), 4x4.
 
-    A geometry is immutable, so a map derived from it stays valid for its
+    K = W K~ V^dag with K~ = sum_k s_k prod_k r_k^T, where r_k is the
+    canonical dilation vector vec_k contracted on its second qubit with
+    V^dag |b+>: U is never formed.
+    """
+    v, w, vecs, prods = _canonical_dilation(g)
+    a_pair, b_pair = _spin_amplitudes(g.a.tolist()), _spin_amplitudes(g.b.tolist())
+    v_dag = v.conj().T
+    r = vecs.reshape(4, 2, 2) @ (v_dag @ b_pair[0])
+    k = w @ ((prods.T * _CLONE_SIGNS) @ r) @ v_dag
+    return k, _products(a_pair, b_pair).conj()
+
+
+def _kept(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The machine (K, P^dag) of g, built on the first request and then kept on g read-only.
+
+    A geometry is immutable, so a machine built from it stays valid for its
     lifetime.  A build that raises keeps nothing.
     """
-    value = g.__dict__.get(name)
-    if value is None:
-        value = build(g)
-        value.setflags(write=False)
-        object.__setattr__(g, name, value)
-    return value
+    machine = g.__dict__.get("_clone_machine")
+    if machine is None:
+        machine = _build_machine(g)
+        for array in machine:
+            array.setflags(write=False)
+        object.__setattr__(g, "_clone_machine", machine)
+    return machine
 
 
 def _isometry(g: MeasurementGeometry) -> np.ndarray:
-    """Clone isometry K = U (1 (x) |b+>), 4x2: K psi is U applied to |psi>|b+>."""
-    return _kept(g, "_clone_isometry",
-                 lambda g: clone_unitary(g).reshape(4, 2, 2) @ _spin_eigenstates(g.b)[0])
+    """Kept clone isometry K, 4x2: K psi is U applied to |psi>|b+>."""
+    return _kept(g)[0]
 
 
 def _product_dagger(g: MeasurementGeometry) -> np.ndarray:
-    """P^dag = conj(product_basis(g)), 4x4: row i maps a state to its prod_i amplitude."""
-    return _kept(g, "_clone_product_dagger", lambda g: np.conj(product_basis(g)))
+    """Kept P^dag = conj(product_basis(g)), 4x4: row i maps a state to its prod_i amplitude."""
+    return _kept(g)[1]
 
 
 def _qubit(r00, r10, r11) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +293,10 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
     distribution of the measurement on psi.
     """
     psi = as_state(psi)
-    joint = _isometry(g) @ psi
+    k, p_dag = _kept(g)
+    joint = k @ psi
     joint.setflags(write=False)
-    lambdas = _product_dagger(g) @ joint
+    lambdas = p_dag @ joint
     # joint[2i + j] = J[i, j]: tracing out either qubit of |joint><joint| gives
     # rho_a = J J^dag and rho_b = J^T J^*
     j00, j01, j10, j11 = joint.tolist()
@@ -281,7 +309,7 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
 def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
     """Clone a mixed state: K rho K^dag, i.e. rho (x) |b+><b+| conjugated by the unitary."""
     rho = as_density(rho, dim=2)
-    k, p_dag = _isometry(g), _product_dagger(g)
+    k, p_dag = _kept(g)
     joint = k @ rho @ k.conj().T
     joint.setflags(write=False)
     # diag(P^dag joint P): the product-basis weights of joint

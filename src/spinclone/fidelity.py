@@ -3,8 +3,9 @@
 The quadrature rule for averaging over pure input states is
 Gauss-Legendre in cos(theta) crossed with a uniform (periodic trapezoid)
 grid in phi, with twice as many phi nodes as theta nodes.  Node
-contributions are combined with numpy's pairwise summation, which is
-deterministic and independent of evaluation order.
+contributions to each geometry's averages are combined with numpy's
+pairwise summation along that geometry's row, which is deterministic and
+does not depend on the other geometries evaluated with it.
 
 Every integrand of :func:`fidelity_report` is a polynomial of degree <= 3 in
 the input Bloch vector (at most cubic in |psi><psi|).  The default
@@ -27,6 +28,14 @@ F_av = |sum_k x_k|^2; measure-and-prepare adds them incoherently,
 F_m = sum_k |x_k|^2.  These averages are the ground truth.  Closed forms
 are evaluated verbatim and compared against quadrature; disagreements are
 reported in :class:`FidelityReport.discrepancies`, not silently corrected.
+
+One kernel evaluates a stack of geometries as a single array program: K and
+P^dag are stacked from each geometry's kept machine, and the node outputs,
+the sphere averages, the closed forms and the discrepancy flags are computed
+for the whole stack at once.  :func:`fidelity_reports` splits a list of
+geometries into stacks of at most ``STACK_NODES`` node evaluations (a whole
+sweep row at the default resolution, one geometry at resolution 64), and
+:func:`fidelity_report` is its call on a single geometry.
 """
 
 from __future__ import annotations
@@ -114,44 +123,52 @@ def mixed_fidelity(psi, rho12) -> float:
     return float(np.vdot(target, rho12 @ target).real)
 
 
+def _closed_forms(alpha, beta, eta, p) -> np.ndarray:
+    """Closed forms (F_av, F_a, F_b, F_ma, F_mb) over arrays of the geometry parameters.
+
+    Evaluated verbatim, one row per closed form; F_av and F_a are singular
+    (nan) where the m-axis weight p vanishes.
+    """
+    root_a = np.sqrt(np.maximum(1.0 - alpha * alpha, 0.0))
+    root_b = np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
+    cos, sin = np.cos(eta), np.sin(eta)
+    p = np.where(p > 0.0, p, np.nan)  # a nan p carries into both singular forms
+    f_av = (
+        0.25
+        + alpha / 12.0
+        + beta / 12.0
+        + alpha * beta / 12.0 * cos ** 2
+        + root_b / 12.0
+        + root_a / 12.0 * sin
+        + (alpha * root_b + beta * root_b * cos + beta * root_a * sin) / (24.0 * p)
+    )
+    f_a = (
+        0.5
+        + alpha / 6.0
+        + root_b / 6.0
+        + (alpha * root_b + beta * cos * root_b + beta * sin * root_a) / (12.0 * p)
+    )
+    f_b = 0.5 + beta / 6.0
+    return np.array([f_av, f_a, f_b, 0.5 + alpha / 6.0, f_b])
+
+
+def _closed_of(g: MeasurementGeometry) -> list[float]:
+    """The five closed forms of :func:`_closed_forms` for one geometry."""
+    return _closed_forms(g.alpha, g.beta, g.eta, g.p).tolist()
+
+
 def f_av_closed(g: MeasurementGeometry) -> float:
     """Closed form for the average global fidelity of the coherent cloner.
 
     Evaluated verbatim; singular (nan) when the m-axis weight p vanishes.
     """
-    alpha, beta, eta, p = g.alpha, g.beta, g.eta, g.p
-    if p <= 0.0:
-        return float("nan")
-    root_a = np.sqrt(max(1.0 - alpha * alpha, 0.0))
-    root_b = np.sqrt(max(1.0 - beta * beta, 0.0))
-    return float(
-        0.25
-        + alpha / 12.0
-        + beta / 12.0
-        + alpha * beta / 12.0 * np.cos(eta) ** 2
-        + root_b / 12.0
-        + root_a / 12.0 * np.sin(eta)
-        + (alpha * root_b + beta * root_b * np.cos(eta) + beta * root_a * np.sin(eta))
-        / (24.0 * p)
-    )
+    return _closed_of(g)[0]
 
 
 def f_single_closed(g: MeasurementGeometry) -> tuple[float, float]:
     """Closed forms for the averaged single-clone fidelities (F_a, F_b)."""
-    alpha, beta, eta, p = g.alpha, g.beta, g.eta, g.p
-    f_b = 0.5 + beta / 6.0
-    if p <= 0.0:
-        return float("nan"), f_b
-    root_a = np.sqrt(max(1.0 - alpha * alpha, 0.0))
-    root_b = np.sqrt(max(1.0 - beta * beta, 0.0))
-    f_a = (
-        0.5
-        + alpha / 6.0
-        + root_b / 6.0
-        + (alpha * root_b + beta * np.cos(eta) * root_b + beta * np.sin(eta) * root_a)
-        / (12.0 * p)
-    )
-    return float(f_a), float(f_b)
+    f_a, f_b = _closed_of(g)[1:3]
+    return f_a, f_b
 
 
 def f_mixed_closed(g: MeasurementGeometry) -> tuple[float, float]:
@@ -161,7 +178,8 @@ def f_mixed_closed(g: MeasurementGeometry) -> tuple[float, float]:
     does not, since the coherent cloner keeps extra information about the
     original in its first output.
     """
-    return 0.5 + g.alpha / 6.0, 0.5 + g.beta / 6.0
+    f_ma, f_mb = _closed_of(g)[3:]
+    return f_ma, f_mb
 
 
 def universal_baseline() -> tuple[float, tuple[float, float]]:
@@ -201,27 +219,58 @@ class FidelityReport:
     discrepancies: tuple[str, ...]
 
 
-def _quadrature_averages(g: MeasurementGeometry, resolution: int):
-    """Vectorized sphere averages (F_av, F_a, F_b, F_m) for one geometry."""
+#: Flagged closed forms, in the order of :func:`_closed_forms` and the quadrature averages.
+_FLAG_NAMES = ("f_av", "f_a", "f_b")
+
+#: Node evaluations one stack may hold: the 64 x 128 nodes of one geometry at
+#: resolution 64.  A geometry whose grid is larger is a stack of its own.
+STACK_NODES = 8192
+
+
+def _stack_averages(geometries, resolution: int) -> np.ndarray:
+    """Sphere averages (F_av, F_a, F_b, F_m) of a stack of N geometries, shape (4, N)."""
     states, weights, states_conj, pair_conj = _grid_data(resolution)
-    outputs = states @ cloner._isometry(g).T
-    p_dag = cloner._product_dagger(g)
+    k, p_dag = (np.array(x) for x in zip(*(cloner._kept(g) for g in geometries)))
+    p_adj = p_dag.transpose(0, 2, 1)
+    outputs = states @ k.transpose(0, 2, 1)  # (N, nodes, 4): K psi at each node
 
     # Branch k of the output: <psi psi|prod_k> times the clone amplitude lambda_k
-    branches = (pair_conj @ p_dag.conj().T) * (outputs @ p_dag.T)
-    f_global = np.abs(branches.sum(axis=1)) ** 2
-    f_m = np.sum(np.abs(branches) ** 2, axis=1)
+    branches = (pair_conj @ p_adj.conj()) * (outputs @ p_adj)
+    f_global = np.abs(branches.sum(axis=2)) ** 2
+    f_m = np.sum(np.abs(branches) ** 2, axis=2)
 
-    out_mat = outputs.reshape(-1, 2, 2)
-    f_a = np.sum(np.abs(np.einsum("ni,nij->nj", states_conj, out_mat)) ** 2, axis=1)
-    f_b = np.sum(np.abs(np.einsum("nij,nj->ni", out_mat, states_conj)) ** 2, axis=1)
+    out_mat = outputs.reshape(*outputs.shape[:2], 2, 2)
+    f_a = np.sum(np.abs(np.einsum("ni,gnij->gnj", states_conj, out_mat)) ** 2, axis=2)
+    f_b = np.sum(np.abs(np.einsum("gnij,nj->gni", out_mat, states_conj)) ** 2, axis=2)
+    # Pairwise summation along each row: a geometry's averages do not depend on its stack
+    return np.array([(f * weights).sum(axis=1) for f in (f_global, f_a, f_b, f_m)])
 
-    return (
-        float(weights @ f_global),
-        float(weights @ f_a),
-        float(weights @ f_b),
-        float(weights @ f_m),
-    )
+
+def _stack_reports(geometries, resolution: int) -> list[FidelityReport]:
+    """Reports of one stack: its sphere averages, closed forms and discrepancy flags."""
+    quad = _stack_averages(geometries, resolution)
+    closed = _closed_forms(*np.array([(g.alpha, g.beta, g.eta, g.p) for g in geometries]).T)
+    # Rows f_av, f_a, f_b of both; a comparison with nan is False, hence isfinite
+    bad = ~np.isfinite(closed[:3]) | (np.abs(closed[:3] - quad[:3]) > DISCREPANCY_TOL)
+    reports = []
+    for g, (av_q, a_q, b_q, m_q, av_c, a_c, b_c, ma_c, mb_c), flags in zip(
+            geometries, np.concatenate([quad, closed]).T.tolist(), bad.T.tolist()):
+        names = tuple(name for name, flagged in zip(_FLAG_NAMES, flags) if flagged)
+        reports.append(FidelityReport(g.alpha, g.beta, g.eta, g.p, g.epsilon, av_q, av_c,
+                                      a_q, a_c, b_q, b_c, m_q, ma_c, mb_c, names))
+    return reports
+
+
+def fidelity_reports(geometries, resolution: int = DEFAULT_RESOLUTION) -> list[FidelityReport]:
+    """:func:`fidelity_report` of each geometry, evaluated as stacks in order.
+
+    Each stack holds at most ``STACK_NODES`` node evaluations, and at least
+    one geometry.
+    """
+    geometries = list(geometries)
+    size = max(1, STACK_NODES // len(_grid_data(resolution)[1]))
+    return [report for start in range(0, len(geometries), size)
+            for report in _stack_reports(geometries[start:start + size], resolution)]
 
 
 def fidelity_report(
@@ -229,32 +278,4 @@ def fidelity_report(
     resolution: int = DEFAULT_RESOLUTION,
 ) -> FidelityReport:
     """Compute all fidelity averages for a geometry and flag disagreements."""
-    av_quad, a_quad, b_quad, m_quad = _quadrature_averages(g, resolution)
-    av_closed = f_av_closed(g)
-    a_closed, b_closed = f_single_closed(g)
-    ma_closed, mb_closed = f_mixed_closed(g)
-    flags = []
-    for name, closed, quad in (
-        ("f_av", av_closed, av_quad),
-        ("f_a", a_closed, a_quad),
-        ("f_b", b_closed, b_quad),
-    ):
-        if not np.isfinite(closed) or abs(closed - quad) > DISCREPANCY_TOL:
-            flags.append(name)
-    return FidelityReport(
-        alpha=g.alpha,
-        beta=g.beta,
-        eta=g.eta,
-        p=g.p,
-        epsilon=g.epsilon,
-        f_av_quad=av_quad,
-        f_av_closed=av_closed,
-        f_a_quad=a_quad,
-        f_a_closed=a_closed,
-        f_b_quad=b_quad,
-        f_b_closed=b_closed,
-        f_m_quad=m_quad,
-        f_ma_closed=ma_closed,
-        f_mb_closed=mb_closed,
-        discrepancies=tuple(flags),
-    )
+    return fidelity_reports([g], resolution)[0]

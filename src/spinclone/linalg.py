@@ -129,14 +129,23 @@ def spin_eigenstates(n) -> tuple[np.ndarray, np.ndarray]:
 
 def _spin_eigenstates(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(+1, -1) eigenstates of n.sigma for a real unit 3-vector, without validation."""
-    x, y, z = n.tolist()
+    plus, minus = _spin_amplitudes(n.tolist())
+    return np.array(plus), np.array(minus)
+
+
+def _spin_amplitudes(n) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Amplitudes of the (+1, -1) eigenstates of n.sigma as Python complex scalars.
+
+    n is a sequence of three floats, a unit vector; nothing is validated.
+    spin_eigenstates, the cloner's frame map and its product basis all take
+    the package eigenstates from here.
+    """
+    x, y, z = n
     # atan2 keeps theta accurate near the poles, where arccos(n_z) loses digits
     theta = math.atan2(math.hypot(x, y), z)
     phi = math.atan2(y, x)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    plus = np.array([c, cmath.exp(1j * phi) * s])
-    minus = np.array([-cmath.exp(-1j * phi) * s, c])
-    return plus, minus
+    c, s = complex(math.cos(theta / 2)), math.sin(theta / 2)
+    return (c, cmath.exp(1j * phi) * s), (-cmath.exp(-1j * phi) * s, c)
 
 
 def _dot(u, v) -> float:

@@ -299,6 +299,42 @@ def test_sweep_fixed_beta_rejects_non_saturating(capsys, tmp_path):
     assert "saturate" in err
 
 
+def test_sweep_builds_geometries_in_grid_order(monkeypatch):
+    # Each alpha row's geometries are built, and so validated, before the row
+    # is evaluated; the first bad point of the grid is the one that raises.
+    seen = []
+    original = cli_module._geometry
+
+    def recording(policy, alpha, eta):
+        seen.append((float(alpha), float(eta)))
+        if len(seen) == 7:
+            raise measurement_module.NonSaturating(0.5)
+        return original(policy, alpha, eta)
+
+    monkeypatch.setattr(cli_module, "_geometry", recording)
+    cfg = cli_module.SweepConfig(3, 4, 0.0, math.pi, "max", 2, "-", "csv")
+    with pytest.raises(measurement_module.NonSaturating):
+        cli_module.sweep_rows(cfg)
+    grid = [(a, e) for a in np.linspace(0.0, 1.0, 3) for e in np.linspace(0.0, math.pi, 4)]
+    assert seen == grid[:7]
+
+
+def test_sweep_memory_stays_bounded_at_fine_resolution():
+    # Stacks hold at most fidelity.STACK_NODES node evaluations, so a 9x41
+    # sweep at resolution 64 keeps the working set of one geometry's grid.
+    import tracemalloc
+
+    cfg = cli_module.SweepConfig(9, 41, 0.0, math.pi, "max", 64, "-", "csv")
+    tracemalloc.start()
+    try:
+        rows = cli_module.sweep_rows(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 9 * 41
+    assert peak < 8e6
+
+
 # ----------------------------------------------------------------------
 # clone
 

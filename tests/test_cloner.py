@@ -433,7 +433,9 @@ def _clone_fields_equal(out, ref):
 
 
 def test_clone_builds_the_machine_once_per_geometry(monkeypatch, rng):
-    calls = {"clone_unitary": 0, "product_basis": 0}
+    # One machine build per geometry; the clone path forms neither the 4x4
+    # unitary nor the list of product states.
+    calls = {"_build_machine": 0, "clone_unitary": 0, "product_basis": 0}
 
     def counting(name):
         original = getattr(cloner_module, name)
@@ -445,11 +447,46 @@ def test_clone_builds_the_machine_once_per_geometry(monkeypatch, rng):
 
     for name in calls:
         monkeypatch.setattr(cloner_module, name, counting(name))
-    g = random_geometry(rng)
-    for _ in range(4):
-        clone_pure(g, random_pure_state(rng))
-    clone_mixed(g, random_density(rng))
-    assert calls == {"clone_unitary": 1, "product_basis": 1}
+    for g in (random_geometry(rng), random_geometry(rng)):
+        for _ in range(4):
+            clone_pure(g, random_pure_state(rng))
+        clone_mixed(g, random_density(rng))
+        measure_and_prepare(g, random_pure_state(rng))
+    assert calls == {"_build_machine": 2, "clone_unitary": 0, "product_basis": 0}
+
+
+def machine_geometries(rng):
+    """Random frames, canonical frames at eta 0, pi and -1e-10 (there chi = pi),
+    p = 0 and p = 1, the alpha = 1, eta = pi corner, and axes 1e-12..1e-6 rad
+    off (anti)parallel in random frames."""
+    yield from (random_geometry(rng) for _ in range(300))
+    for alpha in (0.0, 0.3, 1.0 - 1e-9, 1.0):
+        for eta in (0.0, np.pi, -1e-10):
+            yield geometry_from_angles(alpha, beta_max(alpha, eta), eta)
+    for alpha in (0.0, 0.4, 1.0):
+        for a in (A_HAT, random_unit_vector(rng)):
+            yield from (build_geometry(a, a, alpha, 1.0), build_geometry(a, -a, alpha, 1.0))
+    for offset in (1e-12, 1e-9, 1e-6):
+        for antiparallel in (False, True):
+            for alpha in (0.0, 0.5, 1.0):
+                frame = random_rotation(rng)[0]
+                eta = np.pi - offset if antiparallel else offset
+                b = np.sin(eta) * frame[:, 0] + np.cos(eta) * frame[:, 2]
+                yield build_geometry(frame[:, 2], b, alpha, beta_max(alpha, eta))
+
+
+def test_machine_matches_unitary_and_product_basis(rng):
+    # K and P^dag come from one pass over the dilation without forming U; the
+    # references are the public unitary on |psi>|b+> and the product states.
+    geometries = list(machine_geometries(rng))
+    assert {0.0, 1.0} <= {g.p for g in geometries}
+    assert any(g.alpha == 1.0 and g.eta == np.pi for g in geometries)
+    for g in geometries:
+        k, p_dag = cloner_module._build_machine(g)
+        b_plus = spin_eigenstates(g.b)[0]
+        assert k.shape == (4, 2) and p_dag.shape == (4, 4)
+        assert np.max(np.abs(k - clone_unitary(g).reshape(4, 2, 2) @ b_plus)) <= 1e-15
+        assert np.max(np.abs(p_dag - np.conj(product_basis(g)))) <= 1e-15
 
 
 def test_warm_clone_equals_cold(rng):

@@ -10,6 +10,7 @@ from spinclone import (
     f_mixed_closed,
     f_single_closed,
     fidelity_report,
+    fidelity_reports,
     geometry_from_angles,
     global_fidelity,
     haar_states,
@@ -22,6 +23,7 @@ from spinclone import (
     spin_eigenstates,
     universal_baseline,
 )
+import spinclone.fidelity as fidelity_module
 from spinclone.cloner import product_basis
 from spinclone import build_povm, joint_distribution, clone_unitary
 
@@ -326,3 +328,36 @@ def test_haar_states_normalized_and_deterministic():
     states = haar_states(1000, seed=5)
     assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
     assert np.array_equal(states, haar_states(1000, seed=5))
+
+
+# ----------------------------------------------------------------------
+# stacked reports
+
+
+def mixed_stack(rng):
+    """Random frames, canonical frontier points, and the singular p = 0 corner."""
+    geometries = [random_geometry(rng) for _ in range(24)]
+    for alpha, eta in ((0.0, 0.0), (0.5, np.pi / 2), (1.0, np.pi), (0.3, -1e-10)):
+        geometries.append(geometry_from_angles(alpha, beta_max(alpha, eta), eta))
+    geometries += [build_geometry(A_HAT, -A_HAT, 1.0, 1.0), build_geometry(A_HAT, A_HAT, 1.0, 1.0)]
+    return geometries
+
+
+@pytest.mark.parametrize("resolution", [2, 16])
+def test_stacked_reports_equal_single_reports(rng, resolution):
+    geometries = mixed_stack(rng)
+    per_stack = fidelity_module.STACK_NODES // (2 * resolution * resolution)
+    # resolution 16 splits the list into stacks of 16; resolution 2 keeps one stack
+    assert (len(geometries) > per_stack) == (resolution == 16)
+    stacked = fidelity_reports(geometries, resolution)
+    assert len(stacked) == len(geometries)
+    for g, got in zip(geometries, stacked):
+        want = fidelity_report(g, resolution)
+        assert got.discrepancies == want.discrepancies
+        for name in ("alpha", "beta", "eta", "p", "epsilon"):
+            assert getattr(got, name) == getattr(g, name)
+        for name in ("f_av_quad", "f_av_closed", "f_a_quad", "f_a_closed", "f_b_quad",
+                     "f_b_closed", "f_m_quad", "f_ma_closed", "f_mb_closed"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert (np.isnan(x) and np.isnan(y)) or abs(x - y) <= 1e-15, name
+    assert any(r.discrepancies == ("f_av", "f_a") for r in stacked)

@@ -87,7 +87,7 @@ def test_fidelity_reads_no_measurement_axes():
 
 
 SCALAR_PATH = {
-    "cloner.py": ("clone_pure", "clone_mixed", "_canonical_dilation"),
+    "cloner.py": ("clone_pure", "clone_mixed", "_canonical_dilation", "_build_machine"),
     "measurement.py": ("build_geometry", "sample_outcomes"),
 }
 
