@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,7 @@ def _json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
-def _render_rows_csv(rows: list[dict]) -> str:
+def _render_rows_csv(rows: Iterable[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)  # default dialect emits CRLF line endings
     writer.writerow(SWEEP_COLUMNS)
@@ -146,7 +147,7 @@ def _render_rows_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _render_rows_json(rows: list[dict]) -> str:
+def _render_rows_json(rows: Iterable[dict]) -> str:
     body = ",\n".join("  " + _json_value(row) for row in rows)
     return "[\n" + body + "\n]\n"
 
@@ -202,11 +203,13 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
     A suite is a name, a tolerance, a residual function and its samples:
     ``trials`` random axes, Bloch vectors, densities or random-frame
     geometries (with states), the ``grid`` x ``grid`` canonical (alpha, eta)
-    grid, or four fixed points.  Its residual is the largest value of the
-    function over the samples, floored at 0, and NaN if any value is NaN; the
-    suite passes when that is within the tolerance.  A suite that raises gets
-    an infinite residual and the exception as its note.  Random samples are
-    drawn lazily, suite by suite, from one generator seeded with ``seed``.
+    grid, or four fixed points.  The two fidelity suites sample the reports
+    of their canonical geometries, evaluated as one stack.  Its residual is
+    the largest value of the function over the samples, floored at 0, and
+    NaN if any value is NaN; the suite passes when that is within the
+    tolerance.  A suite that raises gets an infinite residual and the
+    exception as its note.  Samples are drawn lazily, suite by suite, and
+    the random ones from one generator seeded with ``seed``.
     """
     measurement._require_integers(("trials", trials, 1), ("grid", grid, 1), ("seed", seed, 0))
     rng = np.random.default_rng(seed)
@@ -245,6 +248,10 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
 
     def canonical(points):
         return (_geometry("max", alpha, eta) for alpha, eta in points)
+
+    def reports(points):
+        """Fidelity reports at the canonical points, as one stack built when first drawn."""
+        yield from fidelity.fidelity_reports(canonical(points))
 
     def pauli_square(n):
         return np.max(np.abs(linalg.pauli_dot(n) @ linalg.pauli_dot(n) - linalg.IDENTITY_2))
@@ -336,15 +343,13 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
         normal /= np.linalg.norm(normal)
         return max(_transfer_residuals(g, c_in, cloner.clone_pure(g, psi), normal).values())
 
-    def closed_forms(g):
-        report = fidelity.fidelity_report(g)
+    def closed_forms(report):
         return max(
             abs(report.f_b_quad - report.f_b_closed),
             abs(report.f_mb_closed - report.f_b_closed),
         )
 
-    def ordering(g):
-        report = fidelity.fidelity_report(g)
+    def ordering(report):
         return report.f_m_quad - report.f_av_quad
 
     # Commuting axes span no plane: the transfer suite skips them before drawing a state.
@@ -366,8 +371,8 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
         ("statistics equivalence across schemes", 1e-10, statistics_equivalence,
          with_states(frames())),
         ("bloch component transfer", 1e-10, bloch_transfer, with_states(spanning)),
-        ("single-clone closed forms vs quadrature", 1e-9, closed_forms, canonical(fixed_points)),
-        ("cloner dominates measure-and-prepare", 1e-10, ordering, canonical(pairs)),
+        ("single-clone closed forms vs quadrature", 1e-9, closed_forms, reports(fixed_points)),
+        ("cloner dominates measure-and-prepare", 1e-10, ordering, reports(pairs)),
     )
     results = []
     for name, tolerance, residual, samples in suites:
@@ -401,22 +406,26 @@ def cmd_check(args) -> int:
 # ----------------------------------------------------------------------
 # sweep
 
-def sweep_rows(cfg: SweepConfig) -> list[dict]:
-    """Compute the sweep table in grid order (alpha outer, eta inner).
-
-    Each alpha row's geometries are built, and so validated, in eta order,
-    then evaluated together by :func:`spinclone.fidelity.fidelity_reports`.
-    """
+def _sweep_row_iter(cfg: SweepConfig) -> Iterator[dict]:
+    """The rows of :func:`sweep_rows`, one alpha row's stack at a time."""
     cfg.validate()
-    rows = []
     etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_steps)
     for alpha in np.linspace(0.0, 1.0, cfg.alpha_steps):
         geometries = [_geometry(cfg.beta_policy, alpha, eta) for eta in etas]
         for rep in fidelity.fidelity_reports(geometries, resolution=cfg.resolution):
             row = {column: getattr(rep, column) for column in SWEEP_COLUMNS[:-1]}
             row["discrepancy_flags"] = ";".join(rep.discrepancies)
-            rows.append(row)
-    return rows
+            yield row
+
+
+def sweep_rows(cfg: SweepConfig) -> list[dict]:
+    """Compute the sweep table in grid order (alpha outer, eta inner).
+
+    Each alpha row's geometries are built, and so validated, in eta order,
+    then evaluated together by :func:`spinclone.fidelity.fidelity_reports`,
+    which builds their clone machines per stack, not per geometry.
+    """
+    return list(_sweep_row_iter(cfg))
 
 
 def cmd_sweep(args) -> int:
@@ -431,7 +440,8 @@ def cmd_sweep(args) -> int:
         out=args.out,
         fmt=args.format,
     )
-    rows = sweep_rows(cfg)
+    # Rows stream into the renderer; the text is whole before anything is written
+    rows = _sweep_row_iter(cfg)
     text = _render_rows_csv(rows) if cfg.fmt == "csv" else _render_rows_json(rows)
     _write_text(cfg.out, text)
     return 0

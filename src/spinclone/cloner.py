@@ -15,14 +15,17 @@ and the cloning unitary maps these onto signed product states:
 
 The clone functions and the sphere averages of :mod:`spinclone.fidelity`
 read the machine as the 4x2 isometry K = U (1 (x) |b+>) and the conjugated
-product basis P^dag, built together in one pass per geometry and then kept
-on it read-only, so cloning many states with one geometry builds the
-machine once.  The pass never forms U.  It takes the frame map V, W = V (x) V
-and the real canonical-frame dilation vectors vec_k and products prod_k
-that :func:`clone_unitary` uses, behind the same Gram check on W vec_k, and
-forms K = W K~ V^dag with K~ = sum_k s_k prod_k r_k^T, where r_k is vec_k
-contracted on its second qubit with V^dag |b+>; P^dag comes from the scalar
-eigenstate amplitudes of a and b.  The public :func:`clone_unitary`,
+product basis P^dag, built together per stack of geometries and then kept
+on each geometry read-only, so cloning many states with one geometry builds
+the machine once.  A build is a scalar table per geometry (the frame map,
+the in-plane projections, the dilation factors and the eigenstate
+amplitudes of a and b) followed by one array step over the stack; a single
+geometry is a stack of one.  The build never forms U.  It takes the frame
+map V, W = V (x) V and the real canonical-frame dilation vectors vec_k and
+products prod_k that :func:`clone_unitary` uses, behind the same Gram check
+on W vec_k, and forms K = W K~ V^dag with K~ = sum_k s_k prod_k r_k^T, where
+r_k is vec_k contracted on its second qubit with V^dag |b+>; P^dag comes
+from the eigenstate amplitudes of a and b.  The public :func:`clone_unitary`,
 :func:`naimark_basis` and :func:`product_basis` build fresh arrays on every
 call and are not on the clone path.  A clone reads its reduced states and
 Bloch vectors off the joint's entries: with J the 2x2 reshape of a pure
@@ -64,6 +67,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -76,7 +80,7 @@ ORTHONORMALITY_TOL = 1e-10
 #: Signs of the product states in the cloning unitary, in outcome order.
 _CLONE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
-_IDENTITY_4 = np.eye(4)
+_IDENTITY_4 = np.eye(4, dtype=complex)
 
 
 class OrthonormalityFailure(RuntimeError):
@@ -139,30 +143,32 @@ def _inplane_pair(t: float) -> tuple[np.ndarray, np.ndarray]:
 _A_PAIR = np.array(_inplane_pair(0.0))
 
 
-def _frame_map(a: list[float], b: list[float]) -> tuple[list[float], np.ndarray]:
-    """Frame axis e1 and the SU(2) map V taking z and x to a and e1.
+def _frame_map(a: list[float], b: list[float]) -> tuple[list[float], list[complex], tuple]:
+    """Frame axis e1, the SU(2) map V taking z and x to a and e1, and a's eigenstate amplitudes.
 
     With (a+, a-) the package eigenstates of a, the real and imaginary parts
     f1, f2 of <a-|sigma|a+> are the images of x, y under [|a+>, |a->].  chi,
     the phase of b.(f1 + i f2), is the azimuth of b about a measured from f1;
     turning by it puts e1 = Re(e^{-i chi} (f1 + i f2)) along b's component
-    orthogonal to a, and V = [|a+> e^{-i chi/2}, |a-> e^{i chi/2}].
+    orthogonal to a, and V = [|a+> e^{-i chi/2}, |a-> e^{i chi/2}], whose four
+    entries are returned row by row.
     """
-    (p0, p1), (m0, m1) = _spin_amplitudes(a)
+    amplitudes = (p0, p1), (m0, m1) = _spin_amplitudes(a)
     n0, n1 = m0.conjugate(), m1.conjugate()
     f = (n0 * p1 + n1 * p0, 1j * (n1 * p0 - n0 * p1), n0 * p0 - n1 * p1)
     chi = cmath.phase(_dot(b, f))
     turn = cmath.exp(-1j * chi)
     e1 = [(turn * x).real for x in f]
     u = cmath.exp(-0.5j * chi)
-    return e1, np.array([[p0 * u, m0 * u.conjugate()], [p1 * u, m1 * u.conjugate()]])
+    uc = u.conjugate()
+    return e1, [p0 * u, m0 * uc, p1 * u, m1 * uc], amplitudes
 
 
-def _products(a_pair, b_pair) -> np.ndarray:
-    """Rows |a_i>|b_j> in outcome order from the eigenstate amplitudes of a and b."""
-    ea, eb = np.array(a_pair), np.array(b_pair)
+def _products(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """Rows |a_i>|b_j> in outcome order, (..., 4, 4), from stacks (..., 2, 2) of pairs a+-, b+-."""
     # Row 2i + j, entry 2k + l, is a_i[k] b_j[l]: np.kron of the two pairs, by broadcasting
-    return (ea[:, None, :, None] * eb[None, :, None, :]).reshape(4, 4)
+    rows = ea[..., :, None, :, None] * eb[..., None, :, None, :]
+    return rows.reshape(*rows.shape[:-4], 4, 4)
 
 
 def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
@@ -171,18 +177,20 @@ def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
     These are the states prepared by the measure-and-prepare scheme and the
     basis in which clone amplitudes are reported.
     """
-    return list(_products(_spin_amplitudes(g.a.tolist()), _spin_amplitudes(g.b.tolist())))
+    pairs = np.array([_spin_amplitudes(g.a.tolist()), _spin_amplitudes(g.b.tolist())])
+    return list(_products(pairs[0], pairs[1]))
 
 
-def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, ...]:
-    """Frame map V and W = V (x) V, plus the canonical-frame dilation and product vectors.
+def _machine_table(g: MeasurementGeometry) -> tuple[list[float], list[complex]]:
+    """The scalar, per-geometry part of a machine build, as one real and one complex row.
 
-    Rows of the real 4x4 ``vecs`` and ``prods`` are the dilation vectors and
-    the products |a_i>|b_j> in outcome order.  Raises :class:`OrthonormalityFailure`
-    if the Gram matrix of ``w @ vecs.T`` misses the identity by > ``ORTHONORMALITY_TOL``.
+    Both rows are 2x2 blocks laid end to end.  The 20 reals are the 16
+    canonical-frame factors, in the order of the ``(4, 2, 2)`` table below,
+    then b+ and b- in the canonical x-z plane.  The 12 complex entries are V
+    row by row, then the package amplitudes of (a+, a-) and of (b+, b-).
     """
     a, b = g.a.tolist(), g.b.tolist()
-    e1, v = _frame_map(a, b)
+    e1, v, a_pair = _frame_map(a, b)
     # Signed polar angle in the canonical x-z plane; +0.0 keeps atan2 off the
     # negative branch when the x component underflows to -0.0
     t_m, t_l, t_b = (math.atan2(_dot(n, e1) + 0.0, _dot(n, a))
@@ -192,28 +200,58 @@ def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, ...]:
     # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry
     p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p
     sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    (mp0, mp1), (mm0, mm1), (lp0, lp1), (lm0, lm1) = (
-        x.tolist() for x in (*_inplane_pair(t_m), *_inplane_pair(t_l)))
+    (mp0, mp1), (mm0, mm1), (lp0, lp1), (lm0, lm1), b_plus, b_minus = (
+        x.tolist() for x in (*_inplane_pair(t_m), *_inplane_pair(t_l), *_inplane_pair(t_b)))
     # factors[k][i][j]: amplitude i of the first-qubit factor of vector k that
     # pairs with |b+> (j = 0) or |b-> (j = 1), in outcome order.  With |b+> come
     # the m eigenstates and the l eigenstates on the antipodal branch; with |b->
     # come a+, a- (the unit vectors, a lying along z) and their turns by e.
-    factors = np.array([sp * mp0, sq, sp * mp1, 0.0,
-                        -sq * lp0, -sp * cos_e, -sq * lp1, -sp * sin_e,
-                        -sq * lm0, sp * sin_e, -sq * lm1, -sp * cos_e,
-                        sp * mm0, 0.0, sp * mm1, sq]).reshape(4, 2, 2)
-    b_pair = np.array(_inplane_pair(t_b))  # rows b+, b-
-    vecs = (factors @ b_pair).reshape(4, 4)
-    prods = (_A_PAIR[:, None, :, None] * b_pair[None, :, None, :]).reshape(4, 4)
-    w = (v[:, None, :, None] * v[None, :, None, :]).reshape(4, 4)
-    mapped = w @ vecs.T
-    residual = float(np.abs(mapped.conj().T @ mapped - _IDENTITY_4).max())
+    reals = [sp * mp0, sq, sp * mp1, 0.0,
+             -sq * lp0, -sp * cos_e, -sq * lp1, -sp * sin_e,
+             -sq * lm0, sp * sin_e, -sq * lm1, -sp * cos_e,
+             sp * mm0, 0.0, sp * mm1, sq, *b_plus, *b_minus]
+    b_pair = _spin_amplitudes(b)
+    return reals, [*v, *a_pair[0], *a_pair[1], *b_pair[0], *b_pair[1]]
+
+
+def _dilations(geometries) -> tuple[np.ndarray, ...]:
+    """Frame maps and dilations of a stack of N geometries, in one array step.
+
+    Takes each geometry's :func:`_machine_table` and returns W = V (x) V, the
+    real canonical-frame ``vecs`` and ``prods`` (rows: the dilation vectors and
+    the products |a_i>|b_j> in outcome order), the package products
+    P = product_basis, each (N, 4, 4), and the table's complex blocks
+    (N, 3, 2, 2): V, (a+, a-) and (b+, b-).  Raises
+    :class:`OrthonormalityFailure` if the Gram matrix of ``w @ vecs.T`` misses
+    the identity by > ``ORTHONORMALITY_TOL`` on any geometry of the stack.
+    """
+    reals, complexes = zip(*map(_machine_table, geometries))
+    n = len(reals)
+    # One flat pass over the rows; np.array would first discover their nesting
+    real_blocks = np.fromiter(chain.from_iterable(reals), float, 20 * n).reshape(n, 5, 2, 2)
+    blocks = np.fromiter(chain.from_iterable(complexes), complex, 12 * n).reshape(n, 3, 2, 2)
+    # factors[k] @ (b+, b-) for each k: row i, column l holds amplitude 2i + l of vec_k
+    vecs = (real_blocks[:, :4] @ real_blocks[:, 4:]).reshape(n, 4, 4)
+    prods = _products(_A_PAIR, real_blocks[:, 4])
+    # W = V (x) V and P = a+- (x) b+-, in one product
+    kron = _products(blocks[:, :2], blocks[:, ::2])
+    w = kron[:, 0]
+    # Real factors are cast to complex up front: the values matmul's own cast gives, for less
+    mapped = w @ vecs.astype(complex).mT
+    gram = mapped.conj().mT @ mapped
+    gram -= _IDENTITY_4
+    residual = float(np.abs(gram).max())
     if not residual <= ORTHONORMALITY_TOL:
         raise OrthonormalityFailure(
             f"dilation basis Gram residual {residual:.3e} exceeds {ORTHONORMALITY_TOL:.0e}; "
             "phase or frame convention is broken"
         )
-    return v, w, vecs, prods
+    return w, vecs, prods, kron[:, 1], blocks
+
+
+def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, ...]:
+    """W, ``vecs`` and ``prods`` of :func:`_dilations` for one geometry."""
+    return tuple(x[0] for x in _dilations([g])[:3])
 
 
 def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
@@ -223,7 +261,7 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
     constructed vectors misses the identity by more than
     ``ORTHONORMALITY_TOL``.
     """
-    _v, w, vecs, prods = _canonical_dilation(g)
+    w, vecs, prods = _canonical_dilation(g)
     # Phase of each mapped canonical product state relative to spin_eigenstates;
     # dividing it out keeps the unitary in signed product form in that convention.
     phases = np.einsum("ij,ij->i", np.conj(product_basis(g)), prods @ w.T)
@@ -234,49 +272,64 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
 
 def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
     """Two-qubit cloning unitary W U_c W^dag, U_c = sum_i s_i |prod_i><vec_i| real."""
-    _v, w, vecs, prods = _canonical_dilation(g)
+    w, vecs, prods = _canonical_dilation(g)
     u_c = (prods.T * _CLONE_SIGNS) @ vecs
     return w @ u_c @ w.conj().T
 
 
-def _build_machine(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Clone isometry K = U (1 (x) |b+>), 4x2, and P^dag = conj(product_basis(g)), 4x4.
+def _build_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
+    """Clone isometries K = U (1 (x) |b+>), (N, 4, 2), and P^dag = conj(product_basis), (N, 4, 4).
 
     K = W K~ V^dag with K~ = sum_k s_k prod_k r_k^T, where r_k is the
     canonical dilation vector vec_k contracted on its second qubit with
     V^dag |b+>: U is never formed.
     """
-    v, w, vecs, prods = _canonical_dilation(g)
-    a_pair, b_pair = _spin_amplitudes(g.a.tolist()), _spin_amplitudes(g.b.tolist())
-    v_dag = v.conj().T
-    r = vecs.reshape(4, 2, 2) @ (v_dag @ b_pair[0])
-    k = w @ ((prods.T * _CLONE_SIGNS) @ r) @ v_dag
-    return k, _products(a_pair, b_pair).conj()
+    w, vecs, prods, products, blocks = _dilations(geometries)
+    n = len(w)
+    v_dag = blocks[:, 0].conj().mT
+    r = vecs.astype(complex).reshape(n, 4, 2, 2) @ (v_dag @ blocks[:, 2, 0, :, None])[:, None]
+    k = w @ ((prods.mT * _CLONE_SIGNS).astype(complex) @ r.reshape(n, 4, 2)) @ v_dag
+    return k, products.conj()
 
 
-def _kept(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """The machine (K, P^dag) of g, built on the first request and then kept on g read-only.
+def _build_machine(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """K, 4x2, and P^dag, 4x4, of :func:`_build_machines` for one geometry."""
+    k, p_dag = _build_machines([g])
+    return k[0], p_dag[0]
 
-    A geometry is immutable, so a machine built from it stays valid for its
-    lifetime.  A build that raises keeps nothing.
+
+def _kept(*geometries) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The machines (K, P^dag) of the geometries, each built once and then kept on it read-only.
+
+    The geometries that hold no machine yet are built together, as one
+    stack; a single one is built by :func:`_build_machine`.  A geometry is
+    immutable, so a machine built from it stays valid for its lifetime.  A
+    build that raises keeps nothing, on any geometry of the stack.
     """
-    machine = g.__dict__.get("_clone_machine")
-    if machine is None:
-        machine = _build_machine(g)
-        for array in machine:
-            array.setflags(write=False)
-        object.__setattr__(g, "_clone_machine", machine)
-    return machine
+    missing = [g for g in geometries if "_clone_machine" not in g.__dict__]
+    if missing:
+        built = (zip(*_build_machines(missing)) if len(missing) > 1
+                 else [_build_machine(missing[0])])
+        for g, machine in zip(missing, built):
+            for array in machine:
+                array.setflags(write=False)
+            object.__setattr__(g, "_clone_machine", machine)
+    return [g.__dict__["_clone_machine"] for g in geometries]
+
+
+def _machine(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The machine (K, P^dag) of one geometry, as :func:`_kept` keeps it."""
+    return g.__dict__.get("_clone_machine") or _kept(g)[0]
 
 
 def _isometry(g: MeasurementGeometry) -> np.ndarray:
     """Kept clone isometry K, 4x2: K psi is U applied to |psi>|b+>."""
-    return _kept(g)[0]
+    return _machine(g)[0]
 
 
 def _product_dagger(g: MeasurementGeometry) -> np.ndarray:
     """Kept P^dag = conj(product_basis(g)), 4x4: row i maps a state to its prod_i amplitude."""
-    return _kept(g)[1]
+    return _machine(g)[1]
 
 
 def _qubit(r00, r10, r11) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +346,7 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
     distribution of the measurement on psi.
     """
     psi = as_state(psi)
-    k, p_dag = _kept(g)
+    k, p_dag = _machine(g)
     joint = k @ psi
     joint.setflags(write=False)
     lambdas = p_dag @ joint
@@ -309,7 +362,7 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
 def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
     """Clone a mixed state: K rho K^dag, i.e. rho (x) |b+><b+| conjugated by the unitary."""
     rho = as_density(rho, dim=2)
-    k, p_dag = _kept(g)
+    k, p_dag = _machine(g)
     joint = k @ rho @ k.conj().T
     joint.setflags(write=False)
     # diag(P^dag joint P): the product-basis weights of joint

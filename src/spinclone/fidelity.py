@@ -30,7 +30,8 @@ are evaluated verbatim and compared against quadrature; disagreements are
 reported in :class:`FidelityReport.discrepancies`, not silently corrected.
 
 One kernel evaluates a stack of geometries as a single array program: K and
-P^dag are stacked from each geometry's kept machine, and the node outputs,
+P^dag are stacked from the geometries' kept machines, which the cloner
+builds per stack for the geometries that lack one, and the node outputs,
 the sphere averages, the closed forms and the discrepancy flags are computed
 for the whole stack at once.  :func:`fidelity_reports` splits a list of
 geometries into stacks of at most ``STACK_NODES`` node evaluations (a whole
@@ -230,7 +231,7 @@ STACK_NODES = 8192
 def _stack_averages(geometries, resolution: int) -> np.ndarray:
     """Sphere averages (F_av, F_a, F_b, F_m) of a stack of N geometries, shape (4, N)."""
     states, weights, states_conj, pair_conj = _grid_data(resolution)
-    k, p_dag = (np.array(x) for x in zip(*(cloner._kept(g) for g in geometries)))
+    k, p_dag = (np.array(x) for x in zip(*cloner._kept(*geometries)))
     p_adj = p_dag.transpose(0, 2, 1)
     outputs = states @ k.transpose(0, 2, 1)  # (N, nodes, 4): K psi at each node
 

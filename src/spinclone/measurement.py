@@ -148,12 +148,25 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
         silently altering the sharpness pair would corrupt downstream
         fidelity comparisons.
     """
-    ax, ay, az = as_unit_vector(a).tolist()
-    bx, by, bz = as_unit_vector(b).tolist()
+    a, b = as_unit_vector(a).tolist(), as_unit_vector(b).tolist()
+    return _build_geometry(a, b, *_sharpness(alpha, beta))
+
+
+def _sharpness(alpha: float, beta: float) -> tuple[float, float]:
+    """alpha and beta as floats; ValueError unless each lies in [0, 1] up to ATOL."""
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not -ATOL <= val <= 1.0 + ATOL:
             raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
-    alpha, beta = float(alpha), float(beta)
+    return float(alpha), float(beta)
+
+
+def _build_geometry(a: list[float], b: list[float], alpha: float, beta: float
+                    ) -> MeasurementGeometry:
+    """:func:`build_geometry` on unit axes given as float lists and checked sharpnesses.
+
+    Only the saturation check is left, since it needs the derived weights.
+    """
+    (ax, ay, az), (bx, by, bz) = a, b
     # atan2 of the chord lengths keeps angles that arccos(a.b) rounds to 0 or pi
     eta = 2.0 * math.atan2(math.hypot(ax - bx, ay - by, az - bz),
                            math.hypot(ax + bx, ay + by, az + bz))
@@ -177,7 +190,7 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
     epsilon = math.atan2(math.hypot(mx - lx, my - ly, mz - lz),
                          math.hypot(mx + lx, my + ly, mz + lz))
     # Fresh arrays, so the geometry neither aliases nor freezes the caller's
-    a, b, m, l = (np.array(x) for x in ([ax, ay, az], [bx, by, bz], m, l))
+    a, b, m, l = (np.array(x) for x in (a, b, m, l))
     for arr in (a, b, m, l):
         arr.setflags(write=False)
     return MeasurementGeometry(
@@ -187,12 +200,15 @@ def build_geometry(a, b, alpha: float, beta: float) -> MeasurementGeometry:
 
 
 def geometry_from_angles(alpha: float, beta: float, eta: float) -> MeasurementGeometry:
-    """Geometry in the canonical frame: a along z, b in the x-z plane."""
+    """Geometry in the canonical frame: a along z, b in the x-z plane.
+
+    Both axes are unit vectors by construction, so only eta and the
+    sharpnesses are checked.
+    """
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
-    a = np.array([0.0, 0.0, 1.0])
-    b = np.array([np.sin(eta), 0.0, np.cos(eta)])
-    return build_geometry(a, b, alpha, beta)
+    b = [float(np.sin(eta)), 0.0, float(np.cos(eta))]
+    return _build_geometry([0.0, 0.0, 1.0], b, *_sharpness(alpha, beta))
 
 
 def build_povm(g: MeasurementGeometry) -> Povm4:

@@ -101,21 +101,21 @@ def _povm_pp_scaled(fn):
 
 
 def _cloner_loses_to_measurement(fn):
-    def report(g, *args, **kwargs):
-        rep = fn(g, *args, **kwargs)
-        return dataclasses.replace(rep, f_m_quad=rep.f_av_quad + 1e-6)
-    return report
+    def reports(geometries, *args, **kwargs):
+        return [dataclasses.replace(rep, f_m_quad=rep.f_av_quad + 1e-6)
+                for rep in fn(geometries, *args, **kwargs)]
+    return reports
 
 
 @pytest.mark.parametrize("module,name,corrupt,suite", [
     (linalg_module, "partial_trace", _times(1.01), "partial trace preserves trace"),
     (measurement_module, "build_povm", _povm_pp_scaled, "povm completeness"),
     (cloner_module, "clone_unitary", _times(1.01), "cloning unitary unitarity"),
-    (fidelity_module, "fidelity_report", _cloner_loses_to_measurement,
+    (fidelity_module, "fidelity_reports", _cloner_loses_to_measurement,
      "cloner dominates measure-and-prepare"),
     # a NaN residual must fail, not be passed over by max()
     (linalg_module, "partial_trace", _times(np.nan), "partial trace preserves trace"),
-], ids=["partial_trace", "build_povm", "clone_unitary", "fidelity_report", "partial_trace_nan"])
+], ids=["partial_trace", "build_povm", "clone_unitary", "fidelity_reports", "partial_trace_nan"])
 def test_check_detects_injected_fault(capsys, monkeypatch, module, name, corrupt, suite):
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     code, out, _ = run(capsys, ["check", "--trials", "10", "--grid", "4"])
@@ -297,6 +297,7 @@ def test_sweep_fixed_beta_rejects_non_saturating(capsys, tmp_path):
     ])
     assert code == 2
     assert "saturate" in err
+    assert not out.exists()
 
 
 def test_sweep_builds_geometries_in_grid_order(monkeypatch):
@@ -333,6 +334,26 @@ def test_sweep_memory_stays_bounded_at_fine_resolution():
         tracemalloc.stop()
     assert len(rows) == 9 * 41
     assert peak < 8e6
+
+
+def test_sweep_streams_rows_into_the_renderer(tmp_path):
+    # The default sweep renders rows as their alpha row is evaluated, so no
+    # table of all 1,681 row dicts is held next to the text.  A small sweep
+    # first loads the lazy imports and the quadrature cache, which are not
+    # part of the sweep's working set.
+    import tracemalloc
+
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha-steps", "2", "--eta-steps", "2", "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(out.read_bytes().splitlines()) == 1 + 41 * 41
+    assert peak < 1.6e6
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from spinclone import (
     tensor,
 )
 from spinclone.cloner import product_basis
+from spinclone.fidelity import fidelity_reports
 from spinclone.linalg import as_density
 
 from conftest import random_density, random_geometry, random_pure_state, random_unit_vector
@@ -487,6 +488,44 @@ def test_machine_matches_unitary_and_product_basis(rng):
         assert k.shape == (4, 2) and p_dag.shape == (4, 4)
         assert np.max(np.abs(k - clone_unitary(g).reshape(4, 2, 2) @ b_plus)) <= 1e-15
         assert np.max(np.abs(p_dag - np.conj(product_basis(g)))) <= 1e-15
+
+
+def test_stacked_build_equals_single_build(rng):
+    # The stack builder and its N = 1 call give the same K and P^dag bit for
+    # bit, whatever the stack, including where some geometries already keep one.
+    geometries = list(machine_geometries(rng))
+    singles = [cloner_module._build_machine(g) for g in geometries]
+    k, p_dag = cloner_module._build_machines(geometries)
+    assert k.shape == (len(geometries), 4, 2) and p_dag.shape == (len(geometries), 4, 4)
+    for i, (k1, p1) in enumerate(singles):
+        np.testing.assert_array_equal(k[i], k1)
+        np.testing.assert_array_equal(p_dag[i], p1)
+        assert k[i].tobytes() == k1.tobytes() and p_dag[i].tobytes() == p1.tobytes()
+    copies = [dataclasses.replace(g) for g in geometries]
+    for g in copies[::3]:
+        cloner_module._kept(g)
+    for start in range(0, len(copies), 41):
+        stack = copies[start:start + 41]
+        for g, (k1, p1), (k2, p2) in zip(stack, singles[start:], cloner_module._kept(*stack)):
+            np.testing.assert_array_equal(k2, k1)
+            np.testing.assert_array_equal(p2, p1)
+            assert cloner_module._kept(g)[0][0] is k2
+            assert not k2.flags.writeable and not p2.flags.writeable
+
+
+def test_failed_stack_build_keeps_nothing(monkeypatch):
+    original = cloner_module._inplane_pair
+
+    def corrupted(t):
+        plus, minus = original(t)
+        return plus, -minus
+
+    geometries = [geometry_from_angles(alpha, beta_max(alpha, 1.0), 1.0)
+                  for alpha in np.linspace(0.1, 0.9, 5)]
+    monkeypatch.setattr(cloner_module, "_inplane_pair", corrupted)
+    with pytest.raises(OrthonormalityFailure):
+        fidelity_reports(geometries)
+    assert not any("_clone_machine" in g.__dict__ for g in geometries)
 
 
 def test_warm_clone_equals_cold(rng):

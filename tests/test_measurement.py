@@ -429,6 +429,29 @@ def test_geometry_from_angles_matches_explicit_axes():
     assert g1.p == pytest.approx(g2.p, abs=1e-15)
 
 
+def test_geometry_from_angles_validates_only_its_inputs(monkeypatch):
+    # Its axes are unit vectors by construction, so it skips the axis check
+    # and gives the geometry that build_geometry gives on the same axes.
+    eta = 1.1
+    axes = (A_HAT, np.array([np.sin(eta), 0.0, np.cos(eta)]))
+    want = build_geometry(*axes, 0.6, beta_max(0.6, eta))
+
+    def refuse(n):
+        raise AssertionError("geometry_from_angles must not validate its own axes")
+
+    monkeypatch.setattr(measurement_module, "as_unit_vector", refuse)
+    got = geometry_from_angles(0.6, beta_max(0.6, eta), eta)
+    for name in ("a", "b", "m", "l"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert not getattr(got, name).flags.writeable
+    for name in ("alpha", "beta", "eta", "p", "epsilon"):
+        assert getattr(got, name) == getattr(want, name)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
+        geometry_from_angles(1.5, 0.5, eta)
+    with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\], got -0.5$"):
+        geometry_from_angles(0.5, -0.5, eta)
+
+
 def test_sample_outcomes_on_a_sharp_eigenstate(rng):
     # p = 1 and the input |m->: three Born probabilities are 0 up to rounding,
     # which can leave one at -5.6e-17; the draw still gives n plain ints on "--".

@@ -87,7 +87,8 @@ def test_fidelity_reads_no_measurement_axes():
 
 
 SCALAR_PATH = {
-    "cloner.py": ("clone_pure", "clone_mixed", "_canonical_dilation", "_build_machine"),
+    "cloner.py": ("clone_pure", "clone_mixed", "_canonical_dilation", "_build_machine",
+                  "_machine_table", "_dilations", "_build_machines"),
     "measurement.py": ("build_geometry", "sample_outcomes"),
 }
 
