@@ -17,13 +17,12 @@ same configuration and seed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -35,6 +34,9 @@ SWEEP_COLUMNS = (
     "f_av_quad", "f_av_closed", "f_m_quad", "f_a_quad", "f_a_closed",
     "f_b_closed", "f_ma_closed", "f_mb_closed", "discrepancy_flags",
 )
+_report_fields = attrgetter(*SWEEP_COLUMNS[:-1])
+_row_fields = itemgetter(*SWEEP_COLUMNS)
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 # Upper bounds on the size flags.  The work and memory of a run grow with
 # these sizes, so a mistyped value is refused before it starts, not after
@@ -110,41 +112,29 @@ def _beta_flag(text: str) -> str | float:
     return text if text == "max" else _finite_float(text)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_value(v) -> str:
-    if v is None:
-        return "null"
+    if type(v) is float or isinstance(v, np.floating):  # most values are
+        return format(float(v), ".17g") if math.isfinite(v) else "null"
     if isinstance(v, str):
+        return _quote(v)
+    if v is None or isinstance(v, bool):
         return json.dumps(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return _fmt(x)
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_value(x) for x in v) + "]"
     if isinstance(v, dict):
-        items = (f"{json.dumps(str(k))}: {_json_value(x)}" for k, x in v.items())
-        return "{" + ", ".join(items) + "}"
+        return "{" + ", ".join(f"{_quote(str(k))}: {_json_value(x)}" for k, x in v.items()) + "}"
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
+# One template gives csv.writer's RFC 4180 rows (CRLF ends): every field is a
+# number, or flag names joined by ";", so none needs quoting.
+_CSV_ROW = "%.17g," * (len(SWEEP_COLUMNS) - 1) + "%s\r\n"
+
+
 def _render_rows_csv(rows: Iterable[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # default dialect emits CRLF line endings
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [row[c] if isinstance(row[c], str) else _fmt(row[c]) for c in SWEEP_COLUMNS]
-        )
-    return buf.getvalue()
+    return ",".join(SWEEP_COLUMNS) + "\r\n" + "".join([_CSV_ROW % _row_fields(r) for r in rows])
 
 
 def _render_rows_json(rows: Iterable[dict]) -> str:
@@ -215,8 +205,8 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
     rng = np.random.default_rng(seed)
     axes = rng.normal(size=(trials, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    pairs = [(alpha, eta) for alpha in np.linspace(0.0, 1.0, grid)
-             for eta in np.linspace(0.0, math.pi, grid)]
+    pairs = [(alpha, eta) for alpha in np.linspace(0.0, 1.0, grid).tolist()
+             for eta in np.linspace(0.0, math.pi, grid).tolist()]
 
     def bloch_vectors():
         for _ in range(trials):
@@ -409,13 +399,12 @@ def cmd_check(args) -> int:
 def _sweep_row_iter(cfg: SweepConfig) -> Iterator[dict]:
     """The rows of :func:`sweep_rows`, one alpha row's stack at a time."""
     cfg.validate()
-    etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_steps)
-    for alpha in np.linspace(0.0, 1.0, cfg.alpha_steps):
+    # Python floats: per-geometry formulas take them faster than np.float64
+    etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_steps).tolist()
+    for alpha in np.linspace(0.0, 1.0, cfg.alpha_steps).tolist():
         geometries = [_geometry(cfg.beta_policy, alpha, eta) for eta in etas]
         for rep in fidelity.fidelity_reports(geometries, resolution=cfg.resolution):
-            row = {column: getattr(rep, column) for column in SWEEP_COLUMNS[:-1]}
-            row["discrepancy_flags"] = ";".join(rep.discrepancies)
-            yield row
+            yield dict(zip(SWEEP_COLUMNS, (*_report_fields(rep), ";".join(rep.discrepancies))))
 
 
 def sweep_rows(cfg: SweepConfig) -> list[dict]:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -253,13 +254,10 @@ def _stack_reports(geometries, resolution: int) -> list[FidelityReport]:
     closed = _closed_forms(*np.array([(g.alpha, g.beta, g.eta, g.p) for g in geometries]).T)
     # Rows f_av, f_a, f_b of both; a comparison with nan is False, hence isfinite
     bad = ~np.isfinite(closed[:3]) | (np.abs(closed[:3] - quad[:3]) > DISCREPANCY_TOL)
-    reports = []
-    for g, (av_q, a_q, b_q, m_q, av_c, a_c, b_c, ma_c, mb_c), flags in zip(
-            geometries, np.concatenate([quad, closed]).T.tolist(), bad.T.tolist()):
-        names = tuple(name for name, flagged in zip(_FLAG_NAMES, flags) if flagged)
-        reports.append(FidelityReport(g.alpha, g.beta, g.eta, g.p, g.epsilon, av_q, av_c,
-                                      a_q, a_c, b_q, b_c, m_q, ma_c, mb_c, names))
-    return reports
+    return [FidelityReport(g.alpha, g.beta, g.eta, g.p, g.epsilon, av_q, av_c, a_q, a_c, b_q, b_c,
+                           m_q, ma_c, mb_c, tuple(compress(_FLAG_NAMES, flags)))
+            for g, (av_q, a_q, b_q, m_q, av_c, a_c, b_c, ma_c, mb_c), flags in zip(
+                geometries, np.concatenate([quad, closed]).T.tolist(), bad.T.tolist())]
 
 
 def fidelity_reports(geometries, resolution: int = DEFAULT_RESOLUTION) -> list[FidelityReport]:

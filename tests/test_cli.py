@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -320,6 +321,24 @@ def test_sweep_builds_geometries_in_grid_order(monkeypatch):
     assert seen == grid[:7]
 
 
+def test_grid_points_reach_geometries_as_python_floats(monkeypatch):
+    # sweep and check read their canonical grids as Python floats, on which the
+    # per-geometry formulas run faster than on np.float64 scalars.
+    seen = []
+    original = cli_module._geometry
+
+    def recording(policy, alpha, eta):
+        seen.append((type(alpha), type(eta)))
+        return original(policy, alpha, eta)
+
+    monkeypatch.setattr(cli_module, "_geometry", recording)
+    cli_module.sweep_rows(cli_module.SweepConfig(3, 4, 0.0, math.pi, "max", 2, "-", "csv"))
+    assert seen == [(float, float)] * 12
+    seen.clear()
+    run_checks(trials=1, grid=3)
+    assert seen and set(seen) == {(float, float)}
+
+
 def test_sweep_memory_stays_bounded_at_fine_resolution():
     # Stacks hold at most fidelity.STACK_NODES node evaluations, so a 9x41
     # sweep at resolution 64 keeps the working set of one geometry's grid.
@@ -354,6 +373,87 @@ def test_sweep_streams_rows_into_the_renderer(tmp_path):
     assert code == 0
     assert len(out.read_bytes().splitlines()) == 1 + 41 * 41
     assert peak < 1.6e6
+
+
+# ----------------------------------------------------------------------
+# renderers
+
+def reference_fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_csv(rows) -> str:
+    """The sweep CSV as csv.writer writes it, one field at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(SWEEP_COLUMNS)
+    for row in rows:
+        writer.writerow(
+            [row[c] if isinstance(row[c], str) else reference_fmt(row[c]) for c in SWEEP_COLUMNS]
+        )
+    return buf.getvalue()
+
+
+def reference_json(v) -> str:
+    """The JSON writer with keys and strings quoted by json.dumps."""
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        x = float(v)
+        return "null" if math.isnan(x) or math.isinf(x) else reference_fmt(x)
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(reference_json(x) for x in v) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {reference_json(x)}"
+                               for k, x in v.items()) + "}"
+    raise TypeError(f"cannot serialize {type(v)!r}")
+
+
+EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+    np.float64(0.1), np.float64(-math.inf), np.float64(math.nan), np.float64(-0.0),
+    1.0 / 3.0, 2.0, 1e-17, np.float64(0.33333333333333348),
+)
+
+
+def test_csv_renderer_matches_csv_writer():
+    numeric = SWEEP_COLUMNS[:-1]
+    rows = []
+    for i, flags in enumerate(("", "f_av", "f_av;f_a;f_b", "f_av;f_b")):
+        values = [EDGE_FLOATS[(i + j) % len(EDGE_FLOATS)] for j in range(len(numeric))]
+        row = dict(zip(numeric, values), discrepancy_flags=flags)
+        rows.append(dict(reversed(row.items())) if i % 2 else row)  # read by name
+    assert cli_module._render_rows_csv(rows) == reference_csv(rows)
+    assert cli_module._render_rows_csv([]) == reference_csv([])
+    with io.StringIO(cli_module._render_rows_csv(rows), newline="") as fh:
+        parsed = list(csv.reader(fh))
+    assert [r[-1] for r in parsed[1:]] == ["", "f_av", "f_av;f_a;f_b", "f_av;f_b"]
+
+
+@pytest.mark.parametrize("value", [
+    None, True, False, np.int64(-7), 12, np.float64(0.1), math.nan, math.inf, -math.inf,
+    -0.0, 5e-324, 1.7976931348623157e308, "f_av;f_a", 'quote " and \\ and \n', "\u03b7\u00e9",
+    [1, [2.5, None, [np.float64(3.0), "x"]], (np.int32(4), -math.inf)],
+    (0.1, (0.2, (math.nan,))),
+    np.array([[1.0, math.nan], [-0.0, 5e-324]]),
+    np.array([1, 2, 3]),
+    {"alpha": 0.6, "state": {"theta": np.float64(0.7), "phi": [math.inf, -0.0]},
+     "\u03b7": 1.1, "Z\u00fcrich \u2603": (True, None), 3: "int key"},
+    list(EDGE_FLOATS),
+])
+def test_json_value_matches_json_dumps_quoting(value):
+    assert cli_module._json_value(value) == reference_json(value)
+
+
+def test_json_value_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        cli_module._json_value({1, 2})
 
 
 # ----------------------------------------------------------------------
