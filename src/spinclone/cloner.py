@@ -13,15 +13,17 @@ and the cloning unitary maps these onto signed product states:
 
     U = |a+>|b+><pp| + |a+>|b-><pm| - |a->|b+><mp| - |a->|b-><mm|.
 
-The clone functions and the sphere averages of :mod:`spinclone.fidelity`
-read the machine as the 4x2 isometry K = U (1 (x) |b+>) and the conjugated
-product basis P^dag, built together per stack of geometries and then kept
-on each geometry read-only, so cloning many states with one geometry builds
-the machine once.  A build is a scalar table per geometry (the frame map,
-the in-plane projections, the dilation factors and the eigenstate
-amplitudes of a and b) followed by one array step over the stack; a single
-geometry is a stack of one.  The build never forms U.  It takes the frame
-map V, W = V (x) V and the real canonical-frame dilation vectors vec_k and
+The clone functions read the machine as the 4x2 isometry K = U (1 (x) |b+>)
+and the conjugated product basis P^dag.  The first clone on a geometry
+builds both and keeps them on it read-only, so cloning many states with one
+geometry builds the machine once.  The sphere averages of
+:mod:`spinclone.fidelity` build the machines of a whole stack of geometries
+in one call and keep none; a machine's bits do not depend on its stack, so
+they equal the kept ones.  A build is a scalar table per geometry (the frame
+map, the in-plane projections, the dilation factors and the eigenstate
+amplitudes of a and b) followed by one array step over the stack; a clone's
+build is a stack of one.  The build never forms U.  It takes the frame map
+V, W = V (x) V and the real canonical-frame dilation vectors vec_k and
 products prod_k that :func:`clone_unitary` uses, behind the same Gram check
 on W vec_k, and forms K = W K~ V^dag with K~ = sum_k s_k prod_k r_k^T, where
 r_k is vec_k contracted on its second qubit with V^dag |b+>; P^dag comes
@@ -249,11 +251,6 @@ def _dilations(geometries) -> tuple[np.ndarray, ...]:
     return w, vecs, prods, kron[:, 1], blocks
 
 
-def _canonical_dilation(g: MeasurementGeometry) -> tuple[np.ndarray, ...]:
-    """W, ``vecs`` and ``prods`` of :func:`_dilations` for one geometry."""
-    return tuple(x[0] for x in _dilations([g])[:3])
-
-
 def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
     """Construct the orthonormal dilation basis for a measurement geometry.
 
@@ -261,10 +258,10 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
     constructed vectors misses the identity by more than
     ``ORTHONORMALITY_TOL``.
     """
-    w, vecs, prods = _canonical_dilation(g)
+    w, vecs, prods, products, _ = (x[0] for x in _dilations([g]))
     # Phase of each mapped canonical product state relative to spin_eigenstates;
     # dividing it out keeps the unitary in signed product form in that convention.
-    phases = np.einsum("ij,ij->i", np.conj(product_basis(g)), prods @ w.T)
+    phases = np.einsum("ij,ij->i", products.conj(), prods @ w.T)
     vectors = ((w @ vecs.T) * (phases.conj() / np.abs(phases))).T.copy()
     vectors.setflags(write=False)
     return NaimarkBasis(*vectors)
@@ -272,7 +269,7 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
 
 def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
     """Two-qubit cloning unitary W U_c W^dag, U_c = sum_i s_i |prod_i><vec_i| real."""
-    w, vecs, prods = _canonical_dilation(g)
+    w, vecs, prods = (x[0] for x in _dilations([g])[:3])
     u_c = (prods.T * _CLONE_SIGNS) @ vecs
     return w @ u_c @ w.conj().T
 
@@ -292,44 +289,20 @@ def _build_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
     return k, products.conj()
 
 
-def _build_machine(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """K, 4x2, and P^dag, 4x4, of :func:`_build_machines` for one geometry."""
-    k, p_dag = _build_machines([g])
-    return k[0], p_dag[0]
+def _kept(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The machine (K, P^dag) of one geometry, built on first use and then kept on it read-only.
 
-
-def _kept(*geometries) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The machines (K, P^dag) of the geometries, each built once and then kept on it read-only.
-
-    The geometries that hold no machine yet are built together, as one
-    stack; a single one is built by :func:`_build_machine`.  A geometry is
-    immutable, so a machine built from it stays valid for its lifetime.  A
-    build that raises keeps nothing, on any geometry of the stack.
+    A geometry is immutable, so a machine built from it stays valid for its
+    lifetime.  A build that raises keeps nothing.
     """
-    missing = [g for g in geometries if "_clone_machine" not in g.__dict__]
-    if missing:
-        built = (zip(*_build_machines(missing)) if len(missing) > 1
-                 else [_build_machine(missing[0])])
-        for g, machine in zip(missing, built):
-            for array in machine:
-                array.setflags(write=False)
-            object.__setattr__(g, "_clone_machine", machine)
-    return [g.__dict__["_clone_machine"] for g in geometries]
-
-
-def _machine(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """The machine (K, P^dag) of one geometry, as :func:`_kept` keeps it."""
-    return g.__dict__.get("_clone_machine") or _kept(g)[0]
-
-
-def _isometry(g: MeasurementGeometry) -> np.ndarray:
-    """Kept clone isometry K, 4x2: K psi is U applied to |psi>|b+>."""
-    return _machine(g)[0]
-
-
-def _product_dagger(g: MeasurementGeometry) -> np.ndarray:
-    """Kept P^dag = conj(product_basis(g)), 4x4: row i maps a state to its prod_i amplitude."""
-    return _machine(g)[1]
+    machine = g.__dict__.get("_clone_machine")
+    if machine is None:
+        k, p_dag = _build_machines([g])
+        machine = k[0], p_dag[0]
+        for array in machine:
+            array.setflags(write=False)
+        object.__setattr__(g, "_clone_machine", machine)
+    return machine
 
 
 def _qubit(r00, r10, r11) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +319,7 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
     distribution of the measurement on psi.
     """
     psi = as_state(psi)
-    k, p_dag = _machine(g)
+    k, p_dag = _kept(g)
     joint = k @ psi
     joint.setflags(write=False)
     lambdas = p_dag @ joint
@@ -362,7 +335,7 @@ def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
 def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
     """Clone a mixed state: K rho K^dag, i.e. rho (x) |b+><b+| conjugated by the unitary."""
     rho = as_density(rho, dim=2)
-    k, p_dag = _machine(g)
+    k, p_dag = _kept(g)
     joint = k @ rho @ k.conj().T
     joint.setflags(write=False)
     # diag(P^dag joint P): the product-basis weights of joint
@@ -384,5 +357,5 @@ def measure_and_prepare(g: MeasurementGeometry, psi) -> np.ndarray:
     """
     psi = as_state(psi)
     probs = _born_probabilities(g, np.outer(psi, psi.conj()))
-    p_dag = _product_dagger(g)
+    p_dag = _kept(g)[1]
     return (p_dag.conj().T * probs) @ p_dag  # P diag(probs) P^dag, P's columns the products

@@ -29,14 +29,15 @@ F_m = sum_k |x_k|^2.  These averages are the ground truth.  Closed forms
 are evaluated verbatim and compared against quadrature; disagreements are
 reported in :class:`FidelityReport.discrepancies`, not silently corrected.
 
-One kernel evaluates a stack of geometries as a single array program: K and
-P^dag are stacked from the geometries' kept machines, which the cloner
-builds per stack for the geometries that lack one, and the node outputs,
-the sphere averages, the closed forms and the discrepancy flags are computed
-for the whole stack at once.  :func:`fidelity_reports` splits a list of
-geometries into stacks of at most ``STACK_NODES`` node evaluations (a whole
-sweep row at the default resolution, one geometry at resolution 64), and
-:func:`fidelity_report` is its call on a single geometry.
+One kernel evaluates a stack of geometries as a single array program: the
+cloner builds K and P^dag for the whole stack in one call, and the node
+outputs, the sphere averages, the closed forms and the discrepancy flags are
+computed for the whole stack at once.  A stack keeps no machine on its
+geometries; the machines it builds equal, bit for bit, the ones a clone
+keeps.  :func:`fidelity_reports` splits a list of geometries into stacks of
+at most ``STACK_NODES`` node evaluations (a whole sweep row at the default
+resolution, one geometry at resolution 64), and :func:`fidelity_report` is
+its call on a single geometry.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ STACK_NODES = 8192
 def _stack_averages(geometries, resolution: int) -> np.ndarray:
     """Sphere averages (F_av, F_a, F_b, F_m) of a stack of N geometries, shape (4, N)."""
     states, weights, states_conj, pair_conj = _grid_data(resolution)
-    k, p_dag = (np.array(x) for x in zip(*cloner._kept(*geometries)))
+    k, p_dag = cloner._build_machines(geometries)
     p_adj = p_dag.transpose(0, 2, 1)
     outputs = states @ k.transpose(0, 2, 1)  # (N, nodes, 4): K psi at each node
 

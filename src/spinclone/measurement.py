@@ -218,7 +218,7 @@ def build_povm(g: MeasurementGeometry) -> Povm4:
     pair weight 1-p on the l axis.  The four elements are positive and
     sum to the identity.
     """
-    return Povm4(*_povm_elements(g))
+    return Povm4(*(w / 2 * (IDENTITY_2 + _pauli(n)) for w, n in zip(*_outcome_terms(g))))
 
 
 def _outcome_terms(g: MeasurementGeometry) -> tuple[tuple[float, ...], tuple[list[float], ...]]:
@@ -231,11 +231,6 @@ def _outcome_terms(g: MeasurementGeometry) -> tuple[tuple[float, ...], tuple[lis
     m, l = g.m.tolist(), g.l.tolist()
     q = 1 - g.p
     return (g.p, q, q, g.p), (m, l, [-x for x in l], [-x for x in m])
-
-
-def _povm_elements(g: MeasurementGeometry) -> np.ndarray:
-    """The four elements of :func:`build_povm` as one (4, 2, 2) array, in outcome order."""
-    return np.array([w / 2 * (IDENTITY_2 + _pauli(n)) for w, n in zip(*_outcome_terms(g))])
 
 
 def _born_probabilities(g: MeasurementGeometry, rho: np.ndarray) -> list[float]:

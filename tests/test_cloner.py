@@ -434,9 +434,11 @@ def _clone_fields_equal(out, ref):
 
 
 def test_clone_builds_the_machine_once_per_geometry(monkeypatch, rng):
-    # One machine build per geometry; the clone path forms neither the 4x4
-    # unitary nor the list of product states.
-    calls = {"_build_machine": 0, "clone_unitary": 0, "product_basis": 0}
+    # One machine build per geometry, a stack of that geometry alone; the
+    # clone path forms neither the 4x4 unitary nor the list of product states.
+    calls = {"clone_unitary": 0, "product_basis": 0}
+    builds = []
+    build = cloner_module._build_machines
 
     def counting(name):
         original = getattr(cloner_module, name)
@@ -446,14 +448,22 @@ def test_clone_builds_the_machine_once_per_geometry(monkeypatch, rng):
             return original(g)
         return counted
 
+    def counted_build(geometries):
+        builds.append(list(geometries))
+        return build(geometries)
+
     for name in calls:
         monkeypatch.setattr(cloner_module, name, counting(name))
-    for g in (random_geometry(rng), random_geometry(rng)):
+    monkeypatch.setattr(cloner_module, "_build_machines", counted_build)
+    geometries = [random_geometry(rng), random_geometry(rng)]
+    for g in geometries:
         for _ in range(4):
             clone_pure(g, random_pure_state(rng))
         clone_mixed(g, random_density(rng))
         measure_and_prepare(g, random_pure_state(rng))
-    assert calls == {"_build_machine": 2, "clone_unitary": 0, "product_basis": 0}
+    assert len(builds) == len(geometries)
+    assert all(len(built) == 1 and built[0] is g for built, g in zip(builds, geometries))
+    assert calls == {"clone_unitary": 0, "product_basis": 0}
 
 
 def machine_geometries(rng):
@@ -483,7 +493,7 @@ def test_machine_matches_unitary_and_product_basis(rng):
     assert {0.0, 1.0} <= {g.p for g in geometries}
     assert any(g.alpha == 1.0 and g.eta == np.pi for g in geometries)
     for g in geometries:
-        k, p_dag = cloner_module._build_machine(g)
+        k, p_dag = cloner_module._kept(g)
         b_plus = spin_eigenstates(g.b)[0]
         assert k.shape == (4, 2) and p_dag.shape == (4, 4)
         assert np.max(np.abs(k - clone_unitary(g).reshape(4, 2, 2) @ b_plus)) <= 1e-15
@@ -491,26 +501,37 @@ def test_machine_matches_unitary_and_product_basis(rng):
 
 
 def test_stacked_build_equals_single_build(rng):
-    # The stack builder and its N = 1 call give the same K and P^dag bit for
-    # bit, whatever the stack, including where some geometries already keep one.
+    # The stack builder gives the K and P^dag a clone keeps, built as a stack
+    # of one, bit for bit, whatever the stack.
     geometries = list(machine_geometries(rng))
-    singles = [cloner_module._build_machine(g) for g in geometries]
+    singles = [cloner_module._kept(dataclasses.replace(g)) for g in geometries]
     k, p_dag = cloner_module._build_machines(geometries)
     assert k.shape == (len(geometries), 4, 2) and p_dag.shape == (len(geometries), 4, 4)
     for i, (k1, p1) in enumerate(singles):
         np.testing.assert_array_equal(k[i], k1)
         np.testing.assert_array_equal(p_dag[i], p1)
         assert k[i].tobytes() == k1.tobytes() and p_dag[i].tobytes() == p1.tobytes()
-    copies = [dataclasses.replace(g) for g in geometries]
-    for g in copies[::3]:
-        cloner_module._kept(g)
-    for start in range(0, len(copies), 41):
-        stack = copies[start:start + 41]
-        for g, (k1, p1), (k2, p2) in zip(stack, singles[start:], cloner_module._kept(*stack)):
-            np.testing.assert_array_equal(k2, k1)
-            np.testing.assert_array_equal(p2, p1)
-            assert cloner_module._kept(g)[0][0] is k2
-            assert not k2.flags.writeable and not p2.flags.writeable
+
+
+def test_fidelity_stack_neither_reads_nor_writes_kept_machines(rng):
+    # A stack builds its own machines: the reports equal those of fresh
+    # geometries, machines kept by clones stay as they were, and the stack
+    # keeps none on the geometries that had none.
+    geometries = [random_geometry(rng) for _ in range(30)]
+    kept = {}
+    for g in geometries[::3]:
+        clone_pure(g, random_pure_state(rng))
+        kept[id(g)] = cloner_module._kept(g)
+    reports = fidelity_reports(geometries)
+    fresh = fidelity_reports([dataclasses.replace(g) for g in geometries])
+    assert reports == fresh
+    for g in geometries:
+        if id(g) in kept:
+            k, p_dag = kept[id(g)]
+            assert cloner_module._kept(g)[0] is k and cloner_module._kept(g)[1] is p_dag
+            assert not k.flags.writeable and not p_dag.flags.writeable
+        else:
+            assert "_clone_machine" not in g.__dict__
 
 
 def test_failed_stack_build_keeps_nothing(monkeypatch):
@@ -544,14 +565,14 @@ def test_warm_clone_equals_cold(rng):
 def test_kept_isometry_and_product_basis_are_read_only(rng):
     g = random_geometry(rng)
     clone_pure(g, random_pure_state(rng))
-    k, p_dag = cloner_module._isometry(g), cloner_module._product_dagger(g)
+    k, p_dag = cloner_module._kept(g)
     assert not k.flags.writeable and not p_dag.flags.writeable
-    assert cloner_module._isometry(g) is k and cloner_module._product_dagger(g) is p_dag
+    assert cloner_module._kept(g)[0] is k and cloner_module._kept(g)[1] is p_dag
     copy = dataclasses.replace(g)
-    assert cloner_module._isometry(copy) is not k
-    assert cloner_module._product_dagger(copy) is not p_dag
-    assert np.array_equal(cloner_module._isometry(copy), k)
-    assert np.array_equal(cloner_module._product_dagger(copy), p_dag)
+    assert cloner_module._kept(copy)[0] is not k
+    assert cloner_module._kept(copy)[1] is not p_dag
+    assert np.array_equal(cloner_module._kept(copy)[0], k)
+    assert np.array_equal(cloner_module._kept(copy)[1], p_dag)
 
 
 def test_failed_build_keeps_nothing(monkeypatch):

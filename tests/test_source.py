@@ -72,6 +72,24 @@ def test_frozen_geometry_is_written_only_by_kept():
     assert writers == ["spinclone/cloner.py:_kept"]
 
 
+def test_kept_machine_has_one_reader_and_one_writer():
+    # The machine kept on a geometry is named only inside cloner._kept, and the
+    # fidelity stacks build their own machines rather than go through it.
+    named = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        spans = [(node.lineno, node.end_lineno, node.name)
+                 for node in ast.walk(ast.parse(text, filename=str(path)))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for number, line in enumerate(text.splitlines(), 1):
+            if "_clone_machine" in line:
+                around = [(last - first, name) for first, last, name in spans
+                          if first <= number <= last]
+                named.append(f"{path.relative_to(SRC)}:{min(around)[1] if around else None}")
+    assert sorted(set(named)) == ["spinclone/cloner.py:_kept"]
+    assert "_kept" not in (PACKAGE / "fidelity.py").read_text()
+
+
 def test_fidelity_reads_no_measurement_axes():
     # The quadrature takes the four outcome branches from the cloner's K and
     # P^dag, so the POVM's axes and outcome order stay in measurement and cloner;
@@ -87,8 +105,8 @@ def test_fidelity_reads_no_measurement_axes():
 
 
 SCALAR_PATH = {
-    "cloner.py": ("clone_pure", "clone_mixed", "_canonical_dilation", "_build_machine",
-                  "_machine_table", "_dilations", "_build_machines"),
+    "cloner.py": ("clone_pure", "clone_mixed", "_kept", "_machine_table", "_dilations",
+                  "_build_machines"),
     "measurement.py": ("build_geometry", "sample_outcomes"),
 }
 
