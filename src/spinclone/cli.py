@@ -540,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="'max' (saturating) or a fixed numeric sharpness")
     p_sweep.add_argument("--quad-res", type=_int_in(1, MAX_QUAD_RES),
                          default=fidelity.DEFAULT_RESOLUTION,
-                         help=f"Gauss-Legendre nodes in cos(theta) (1 to {MAX_QUAD_RES}); "
-                              "the default 2 is exact, higher values serve convergence studies")
+                         help=f"cos(theta) nodes for f_av, f_m (1 to {MAX_QUAD_RES}); 2 is exact, "
+                              "more serve convergence studies; f_a, f_b need none")
     p_sweep.add_argument("--out", required=True, help="output path, '-' for stdout")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--degrees", action="store_true")

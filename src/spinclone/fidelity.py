@@ -1,43 +1,42 @@
-"""Cloning fidelities: sphere averages by quadrature and closed forms.
+"""Cloning fidelities: sphere averages read off the cloner's isometry, and closed forms.
 
-The quadrature rule for averaging over pure input states is
-Gauss-Legendre in cos(theta) crossed with a uniform (periodic trapezoid)
-grid in phi, with twice as many phi nodes as theta nodes.  Node
-contributions to each geometry's averages are combined with numpy's
-pairwise summation along that geometry's row, which is deterministic and
-does not depend on the other geometries evaluated with it.
-
-Every integrand of :func:`fidelity_report` is a polynomial of degree <= 3 in
-the input Bloch vector (at most cubic in |psi><psi|).  The default
-resolution 2 (2 cos(theta) by 4 phi nodes) averages all of them exactly,
-like a spherical 3-design (Delsarte, Goethals and Seidel, Geom. Dedicata 6,
-363 (1977)).  Proof: a monomial x^i y^j z^k with i+j+k <= 3 has phi-degree
-i+j <= 3, which the 4-node trapezoid rule integrates exactly; its phi
-average vanishes unless i and j are even, and what is left,
-(1-z^2)^((i+j)/2) z^k with z = cos(theta), has degree <= 3, which 2-node
-Gauss-Legendre integrates exactly.  Higher resolutions serve convergence
-studies; :func:`sphere_grid` and :func:`sphere_average` take any function
-and default to 64.
-
-The quadrature sees the measurement only through the cloner's isometry
+The averages see the measurement only through the cloner's isometry
 K = U (1 (x) |b+>) and conjugated product basis P^dag (:mod:`spinclone.cloner`).
-At each node K|psi> splits into four product-basis branches
-x_k = <psi psi|prod_k> lambda_k, lambda = P^dag K psi, where |lambda_k|^2 is
-the joint outcome distribution.  The cloner adds the branches coherently,
-F_av = |sum_k x_k|^2; measure-and-prepare adds them incoherently,
-F_m = sum_k |x_k|^2.  These averages are the ground truth.  Closed forms
-are evaluated verbatim and compared against quadrature; disagreements are
+Each output's Bloch vector is an affine map of the input's, c -> M_x c + t_x,
+and the sphere average of (1 + c.(M_x c + t_x))/2 is exactly
+1/2 + tr(M_x)/6 (Werner, PRA 58, 1827 (1998)).  With k4[a, b, j] = K[2a + b, j]
+that is 1/3 + |tr_x K|^2/6, tr_a K = sum_a k4[a, b, a] and tr_b K =
+sum_b k4[a, b, b], so F_a and F_b are read off K with no nodes.
+
+The nodes serve the two-copy averages.  At each node K|psi> splits into four
+product-basis branches x_k = <psi psi|prod_k> lambda_k, lambda = P^dag K psi,
+where |lambda_k|^2 is the joint outcome distribution.  The cloner adds them
+coherently, F_av = |sum_k x_k|^2; measure-and-prepare adds them incoherently,
+F_m = sum_k |x_k|^2.  The rule is Gauss-Legendre in cos(theta) crossed with a
+uniform (periodic trapezoid) grid in phi, with twice as many phi nodes as
+theta nodes; a geometry's node contributions are combined by numpy's pairwise
+summation along its own row, so they do not depend on the other geometries
+evaluated with it.  Both integrands are polynomials of degree <= 3 in the
+input Bloch vector, and the default resolution 2 (2 cos(theta) by 4 phi
+nodes) averages them exactly, like a spherical 3-design (Delsarte, Goethals
+and Seidel, Geom. Dedicata 6, 363 (1977)).  Proof: a monomial x^i y^j z^k with
+i+j+k <= 3 has phi-degree i+j <= 3, which the 4-node trapezoid rule
+integrates exactly; its phi average vanishes unless i and j are even, and
+what is left, (1-z^2)^((i+j)/2) z^k with z = cos(theta), has degree <= 3,
+which 2-node Gauss-Legendre integrates exactly.  Higher resolutions serve
+convergence studies; :func:`sphere_grid` and :func:`sphere_average` take any
+function and default to 64.  These averages are the ground truth.  Closed
+forms are evaluated verbatim and compared against them; disagreements are
 reported in :class:`FidelityReport.discrepancies`, not silently corrected.
 
 One kernel evaluates a stack of geometries as a single array program: the
-cloner builds K and P^dag for the whole stack in one call, and the node
-outputs, the sphere averages, the closed forms and the discrepancy flags are
-computed for the whole stack at once.  A stack keeps no machine on its
-geometries; the machines it builds equal, bit for bit, the ones a clone
-keeps.  :func:`fidelity_reports` splits a list of geometries into stacks of
-at most ``STACK_NODES`` node evaluations (a whole sweep row at the default
-resolution, one geometry at resolution 64), and :func:`fidelity_report` is
-its call on a single geometry.
+cloner builds K and P^dag for the whole stack in one call, and the averages,
+closed forms and discrepancy flags are computed for the whole stack at once.
+A stack keeps no machine on its geometries; the machines it builds equal, bit
+for bit, the ones a clone keeps.  :func:`fidelity_reports` splits a list of
+geometries into stacks of at most ``STACK_NODES`` node evaluations (a whole
+sweep row at the default resolution, one geometry at resolution 64), and
+:func:`fidelity_report` is its call on a single geometry.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ DISCREPANCY_TOL = 1e-6
 
 @lru_cache(maxsize=8)
 def _grid_data(resolution: int) -> tuple[np.ndarray, ...]:
-    """Geometry-independent nodes |psi>, weights, <psi| and <psi psi|, cached; no Bloch vectors."""
+    """Geometry-independent nodes |psi>, weights and <psi psi|, cached; no Bloch vectors."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution!r}")
     nodes, gl_weights = np.polynomial.legendre.leggauss(resolution)
@@ -75,9 +74,8 @@ def _grid_data(resolution: int) -> tuple[np.ndarray, ...]:
         axis=1,
     )
     weights = np.repeat(gl_weights / 2.0, n_phi) / n_phi
-    states_conj = states.conj()
-    pair_conj = np.einsum("ni,nj->nij", states_conj, states_conj).reshape(-1, 4)
-    cached = (states, weights, states_conj, pair_conj)
+    pair_conj = np.einsum("ni,nj->nij", states.conj(), states.conj()).reshape(-1, 4)
+    cached = (states, weights, pair_conj)
     for arr in cached:
         arr.setflags(write=False)
     return cached
@@ -198,11 +196,12 @@ def universal_baseline() -> tuple[float, tuple[float, float]]:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Quadrature and closed-form fidelities for one measurement geometry.
+    """Sphere-averaged and closed-form fidelities for one measurement geometry.
 
-    Quadrature entries (``*_quad``) are the authoritative values;
-    ``discrepancies`` names every closed form that differs from its
-    quadrature counterpart by more than the flag tolerance.
+    The averaged entries (``*_quad``) are authoritative: ``f_a_quad`` and
+    ``f_b_quad`` are read off the clone isometry, exact at every resolution.
+    ``discrepancies`` names every closed form that differs from its averaged
+    counterpart by more than the flag tolerance.
     """
 
     alpha: float
@@ -232,7 +231,7 @@ STACK_NODES = 8192
 
 def _stack_averages(geometries, resolution: int) -> np.ndarray:
     """Sphere averages (F_av, F_a, F_b, F_m) of a stack of N geometries, shape (4, N)."""
-    states, weights, states_conj, pair_conj = _grid_data(resolution)
+    states, weights, pair_conj = _grid_data(resolution)
     k, p_dag = cloner._build_machines(geometries)
     p_adj = p_dag.transpose(0, 2, 1)
     outputs = states @ k.transpose(0, 2, 1)  # (N, nodes, 4): K psi at each node
@@ -242,11 +241,12 @@ def _stack_averages(geometries, resolution: int) -> np.ndarray:
     f_global = np.abs(branches.sum(axis=2)) ** 2
     f_m = np.sum(np.abs(branches) ** 2, axis=2)
 
-    out_mat = outputs.reshape(*outputs.shape[:2], 2, 2)
-    f_a = np.sum(np.abs(np.einsum("ni,gnij->gnj", states_conj, out_mat)) ** 2, axis=2)
-    f_b = np.sum(np.abs(np.einsum("gnij,nj->gni", out_mat, states_conj)) ** 2, axis=2)
+    # F_x = 1/3 + |tr_x K|^2 / 6 with k4[a, b, j] = K[2a + b, j]: exact, no nodes
+    k4 = k.reshape(-1, 2, 2, 2)
+    f_a, f_b = (1.0 / 3.0 + np.sum(np.abs(np.einsum(spec, k4)) ** 2, axis=1) / 6.0
+                for spec in ("gaba->gb", "gabb->ga"))
     # Pairwise summation along each row: a geometry's averages do not depend on its stack
-    return np.array([(f * weights).sum(axis=1) for f in (f_global, f_a, f_b, f_m)])
+    return np.array([(f_global * weights).sum(axis=1), f_a, f_b, (f_m * weights).sum(axis=1)])
 
 
 def _stack_reports(geometries, resolution: int) -> list[FidelityReport]:

@@ -339,6 +339,33 @@ def test_grid_points_reach_geometries_as_python_floats(monkeypatch):
     assert seen and set(seen) == {(float, float)}
 
 
+@pytest.mark.parametrize("row,name", [(0, "f_av"), (1, "f_a"), (2, "f_b")])
+@pytest.mark.parametrize("miss,flagged", [(2e-6, True), (-2e-6, True), (5e-7, False),
+                                          (-5e-7, False)])
+def test_closed_form_flagged_above_the_tolerance(monkeypatch, row, name, miss, flagged):
+    # Reports and sweep's discrepancy_flags name a closed form once it misses
+    # its average by more than fidelity.DISCREPANCY_TOL = 1e-6, and not a
+    # decade inside that
+    original = fidelity_module._closed_forms
+
+    def missing(*args):
+        closed = original(*args)
+        closed[row] += miss
+        return closed
+
+    cfg = cli_module.SweepConfig(3, 3, 0.3, 2.5, "max", 2, "-", "csv")
+    geometries = [cli_module._geometry("max", alpha, eta)
+                  for alpha in (0.1, 0.5, 0.9) for eta in (0.4, math.pi / 2, 2.6)]
+    assert {r["discrepancy_flags"] for r in cli_module.sweep_rows(cfg)} == {""}
+    assert {r.discrepancies for r in fidelity_module.fidelity_reports(geometries)} == {()}
+    monkeypatch.setattr(fidelity_module, "_closed_forms", missing)
+    rows = cli_module.sweep_rows(cfg)
+    assert len(rows) == 9
+    assert {r["discrepancy_flags"] for r in rows} == {name if flagged else ""}
+    reports = fidelity_module.fidelity_reports(geometries)
+    assert {r.discrepancies for r in reports} == {(name,) if flagged else ()}
+
+
 def test_sweep_memory_stays_bounded_at_fine_resolution():
     # Stacks hold at most fidelity.STACK_NODES node evaluations, so a 9x41
     # sweep at resolution 64 keeps the working set of one geometry's grid.

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -605,3 +606,33 @@ def test_clone_reductions_match_partial_trace(rng):
                 want = partial_trace(full, keep=keep)
                 assert np.max(np.abs(rho - want)) <= 1e-15
                 assert np.max(np.abs(bloch - bloch_from_density(want))) <= 1e-15
+
+
+@pytest.mark.parametrize("gram,accepted", [(1e-11, True), (1e-9, False)])
+def test_orthonormality_guard_threshold(monkeypatch, gram, accepted):
+    # ORTHONORMALITY_TOL = 1e-10.  At alpha = beta = 1/sqrt(2), eta = pi/2
+    # (p = 1/2), adding eps to the sqrt(1 - p) factor of the first dilation
+    # vector grows its squared norm by 2 sqrt(1 - p) eps + eps^2 and moves its
+    # overlaps by at most sqrt(p) eps: a Gram residual of sqrt(2) eps + eps^2.
+    original = cloner_module._machine_table
+    eps = gram / np.sqrt(2.0)
+
+    def perturbed(g):
+        reals, complexes = original(g)
+        reals[1] += eps
+        return reals, complexes
+
+    alpha = np.sqrt(0.5)
+    g = geometry_from_angles(alpha, beta_max(alpha, np.pi / 2), np.pi / 2)
+    assert g.p == pytest.approx(0.5, abs=1e-15)
+    monkeypatch.setattr(cloner_module, "_machine_table", perturbed)
+    psi = np.array([0.6, 0.8j])
+    if accepted:
+        clone_pure(g, psi)
+        assert "_clone_machine" in g.__dict__
+    else:
+        with pytest.raises(OrthonormalityFailure) as excinfo:
+            clone_pure(g, psi)
+        residual = float(re.search(r"Gram residual (\S+) exceeds", str(excinfo.value)).group(1))
+        assert residual == pytest.approx(np.sqrt(2.0) * eps + eps * eps, rel=1e-3)
+        assert "_clone_machine" not in g.__dict__

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from spinclone import (
+    IDENTITY_2,
     beta_max,
     bloch_from_density,
     build_geometry,
+    clone_mixed,
     clone_pure,
+    density_from_bloch,
     f_av_closed,
     f_mixed_closed,
     f_single_closed,
@@ -361,3 +364,78 @@ def test_stacked_reports_equal_single_reports(rng, resolution):
             x, y = getattr(got, name), getattr(want, name)
             assert (np.isnan(x) and np.isnan(y)) or abs(x - y) <= 1e-15, name
     assert any(r.discrepancies == ("f_av", "f_a") for r in stacked)
+
+
+# ----------------------------------------------------------------------
+# the clone's Bloch maps and the single-clone averages
+
+
+def bloch_maps(g):
+    """Affine maps c -> M_x c + t_x of the input Bloch vector onto outputs a and b.
+
+    Read off public clone outputs only: t_x is the output of the maximally
+    mixed input, and column j of M_x the output of the pure state along e_j
+    minus t_x.
+    """
+    centre = clone_mixed(g, IDENTITY_2 / 2)
+    columns = [clone_mixed(g, density_from_bloch(e)) for e in np.eye(3)]
+    return [(np.column_stack([getattr(out, name) for out in columns])
+             - getattr(centre, name)[:, None], getattr(centre, name))
+            for name in ("bloch_a", "bloch_b")]
+
+
+def test_cloner_transfers_both_spin_components(rng):
+    # The cloner copies the a component onto output a with sharpness alpha and
+    # the b component onto output b with sharpness beta: M_a^T a = alpha a,
+    # M_b^T b = beta b, with no offset along either axis.  A sphere average of
+    # (1 + c.(M c + t))/2 is 1/2 + tr(M)/6, so tr M_b = beta gives F_b.
+    n = random_unit_vector(rng)
+    geometries = [random_geometry(rng) for _ in range(300)]
+    geometries += [build_geometry(n, -n, 1.0, 1.0), build_geometry(n, n, 1.0, 1.0)]
+    assert {0.0, 1.0} <= {g.p for g in geometries}
+    for g, report in zip(geometries, fidelity_reports(geometries)):
+        (m_a, t_a), (m_b, t_b) = bloch_maps(g)
+        assert np.max(np.abs(m_a.T @ g.a - g.alpha * g.a)) <= 1e-14
+        assert np.max(np.abs(m_b.T @ g.b - g.beta * g.b)) <= 1e-14
+        assert abs(t_a @ g.a) <= 1e-14 and abs(t_b @ g.b) <= 1e-14
+        assert abs(np.trace(m_b) - g.beta) <= 1e-14
+        assert abs(0.5 + np.trace(m_a) / 6 - report.f_a_quad) <= 1e-14
+        assert abs(0.5 + np.trace(m_b) / 6 - report.f_b_quad) <= 1e-14
+
+
+def test_single_clone_averages_do_not_depend_on_resolution(rng):
+    # F_a and F_b are read off the isometry; no quadrature node enters them
+    geometries = mixed_stack(rng)
+    reports = {res: fidelity_reports(geometries, res) for res in (1, 2, 64)}
+    for name in ("f_a_quad", "f_b_quad"):
+        values = {res: [getattr(r, name) for r in reps] for res, reps in reports.items()}
+        assert values[1] == values[2] == values[64], name
+
+
+# ----------------------------------------------------------------------
+# the cloner against measure-and-prepare
+
+
+def frontier_reports(alphas, etas):
+    return fidelity_reports([geometry_from_angles(alpha, beta_max(alpha, eta), eta)
+                             for alpha in alphas for eta in etas])
+
+
+def test_cloner_never_loses_to_measure_and_prepare(rng):
+    # On the default sweep grid and on random frames the coherent sum of the
+    # four branches is never below the incoherent one, and the two coincide
+    # where the axes commute
+    grid = frontier_reports(np.linspace(0.0, 1.0, 41), np.linspace(0.0, np.pi, 41))
+    frames = fidelity_reports([random_geometry(rng) for _ in range(300)])
+    for report in grid + frames:
+        assert report.f_av_quad - report.f_m_quad >= -1e-15
+    commuting = [r for r in grid if r.eta in (0.0, np.pi)]
+    assert len(commuting) == 82
+    assert max(abs(r.f_av_quad - r.f_m_quad) for r in commuting) <= 1e-15
+
+
+def test_cloner_beats_measure_and_prepare_off_commuting_axes():
+    # Away from eta in {0, pi} the advantage is strictly positive; it is
+    # smallest near alpha = 0 and eta = 1e-3 (about eta / 6)
+    reports = frontier_reports(np.linspace(0.0, 1.0, 101), np.linspace(1e-3, np.pi - 1e-3, 61))
+    assert min(r.f_av_quad - r.f_m_quad for r in reports) > 0.0

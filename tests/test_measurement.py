@@ -466,3 +466,31 @@ def test_sample_outcomes_on_a_sharp_eigenstate(rng):
         assert all(type(c) is int and c >= 0 for c in counts.values())
         assert counts == {"++": 0, "+-": 0, "-+": 0, "--": 1000}
     assert rounded_below_zero > 0
+
+
+# ----------------------------------------------------------------------
+# the saturation guard at its threshold
+
+
+@pytest.mark.parametrize("alpha,eta", [(0.6, np.pi / 2), (0.35, 1.1)])
+@pytest.mark.parametrize("residual,accepted", [(1e-10, True), (-1e-10, True),
+                                               (1e-8, False), (-1e-8, False)])
+def test_saturation_guard_threshold(alpha, eta, residual, accepted):
+    # SATURATION_TOL = 1e-9: a pair a decade inside it is accepted as given,
+    # and a decade outside it, on either side of the frontier, is refused.
+    # beta moves off beta_max by residual / slope, the slope of the bound's
+    # left-hand side in beta there.
+    beta_sat, h = beta_max(alpha, eta), 1e-6
+    slope = (optimality_lhs(alpha, beta_sat + h, eta) - optimality_lhs(alpha, beta_sat - h, eta))
+    beta = beta_sat + residual / (slope / (2 * h))
+    b = np.array([math.sin(eta), 0.0, math.cos(eta)])
+    for build in (lambda: build_geometry(A_HAT, b, alpha, beta),
+                  lambda: geometry_from_angles(alpha, beta, eta)):
+        if accepted:
+            assert build().beta == beta
+        else:
+            with pytest.raises(NonSaturating) as excinfo:
+                build()
+            assert excinfo.value.residual == pytest.approx(residual, rel=1e-4)
+            assert excinfo.value.residual == pytest.approx(
+                optimality_lhs(alpha, beta, eta) - 2.0, abs=1e-14)

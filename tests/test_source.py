@@ -3,6 +3,8 @@ no POVM structure in the fidelity module, no array reductions on the clone strea
 and the spin conventions (n.sigma, the eigenstate half angles) written once."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -168,3 +170,25 @@ def test_cloner_takes_half_angles_only_in_its_inplane_pair():
         and any(is_halved(arg) for arg in node.args)
     }
     assert sorted(owners) == ["_inplane_pair"]
+
+
+def test_mutation_catalogue_applies_to_the_source():
+    # tools/mutate.py applies each mutant by text; an entry whose old text no
+    # longer occurs exactly once in src/ would go stale without notice.
+    path = SRC.parent / "tools" / "mutate.py"
+    spec = importlib.util.spec_from_file_location("mutate", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    names = [name for name, *_ in probe.CATALOGUE]
+    assert len(names) == len(set(names))
+    for name, module, old, new in probe.CATALOGUE:
+        assert old != new, name
+        assert sources[module].count(old) == 1, name
+        assert sum(text.count(old) for text in sources.values()) == 1, name
+    # The probe runs on any interpreter that runs the tests: standard library only
+    imports = [node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {alias.name if isinstance(node, ast.Import) else node.module
+               for node in imports for alias in node.names}
+    assert {name.split(".")[0] for name in modules} <= set(sys.stdlib_module_names)
