@@ -3,10 +3,10 @@
 The averages see the measurement only through the cloner's isometry
 K = U (1 (x) |b+>) and conjugated product basis P^dag (:mod:`spinclone.cloner`).
 Each output's Bloch vector is an affine map of the input's, c -> M_x c + t_x,
-and the sphere average of (1 + c.(M_x c + t_x))/2 is exactly
-1/2 + tr(M_x)/6 (Werner, PRA 58, 1827 (1998)).  With k4[a, b, j] = K[2a + b, j]
-that is 1/3 + |tr_x K|^2/6, tr_a K = sum_a k4[a, b, a] and tr_b K =
-sum_b k4[a, b, b], so F_a and F_b are read off K with no nodes.
+and the sphere average of (1 + c.(M_x c + t_x))/2 is 1/2 + tr(M_x)/6 (Werner,
+PRA 58, 1827 (1998)).  With k4[a, b, j] = K[2a + b, j], tr_a K = sum_a k4[a, b, a]
+and tr_b K = sum_b k4[a, b, b] that is 1/3 + |tr_x K|^2/6, where 1/3 = tr(K^dag K)/6
+holds as far as K is an isometry (its Gram check); F_a and F_b take no nodes.
 
 The nodes serve the two-copy averages.  At each node K|psi> splits into four
 product-basis branches x_k = <psi psi|prod_k> lambda_k, lambda = P^dag K psi,
@@ -241,7 +241,7 @@ def _stack_averages(geometries, resolution: int) -> np.ndarray:
     f_global = np.abs(branches.sum(axis=2)) ** 2
     f_m = np.sum(np.abs(branches) ** 2, axis=2)
 
-    # F_x = 1/3 + |tr_x K|^2 / 6 with k4[a, b, j] = K[2a + b, j]: exact, no nodes
+    # F_x = 1/3 + |tr_x K|^2 / 6, k4[a, b, j] = K[2a + b, j]; 1/3 = tr(K^dag K)/6 for an isometry K
     k4 = k.reshape(-1, 2, 2, 2)
     f_a, f_b = (1.0 / 3.0 + np.sum(np.abs(np.einsum(spec, k4)) ** 2, axis=1) / 6.0
                 for spec in ("gaba->gb", "gabb->ga"))

@@ -4,14 +4,15 @@
 Each catalogue entry is a mutant: a module of ``src/spinclone``, a text that
 occurs exactly once in ``src/`` and the text that replaces it.  For each
 mutant the repository is copied to a temporary directory, the replacement
-is made in the copy, and the tier-1 suite runs on the copy with ``-x``.  The
-mutant is killed when the suite fails and survives when it passes.  The
-working tree is only read.
+is made in the copy, and the tier-1 suite runs on the copy with ``-x``, less
+``GUARD_TEST``, which fails on every applied mutant.  The mutant is killed
+when a remaining test fails and survives when they all pass; the first
+failing test is printed.  The working tree is only read.
 
     python tools/mutate.py              # every mutant in the catalogue
     python tools/mutate.py NAME [...]   # the named mutants
 
-Mutants run one at a time, each taking 2-25 s, so the probe is not part of
+Mutants run one at a time, each taking 2-60 s, so the probe is not part of
 the tier-1 suite; ``tests/test_source.py`` checks only that every entry
 still applies.  Exit status: 0 if every mutant run was killed, 1 if any
 survived, 2 for an unknown name.  Standard library only.
@@ -96,6 +97,9 @@ CATALOGUE = (
     ("csv-16-digits", "cli.py", '_CSV_ROW = "%.17g,"', '_CSV_ROW = "%.16g,"'),
 )
 
+#: The tier-1 test that checks every catalogue entry still applies to ``src/``
+GUARD_TEST = "tests/test_source.py::test_mutation_catalogue_applies_to_the_source"
+
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                ".bench_work", "*.egg-info")
 
@@ -113,7 +117,8 @@ def run_mutant(name: str, module: str, old: str, new: str) -> tuple[bool, str]:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                    PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"),
                                                             os.environ.get("PYTHONPATH")])))
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   "--deselect", GUARD_TEST]
         proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
