@@ -162,7 +162,8 @@ def _geometry(policy: str | float, alpha: float, eta: float) -> measurement.Meas
 
 
 def _bloch_state(theta: float, phi: float) -> np.ndarray:
-    return np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
+    (c, s), _ = linalg._inplane_pair(theta)
+    return np.array([c, np.exp(1j * phi) * s])
 
 
 def _direction(theta: float, phi: float) -> np.ndarray:
@@ -334,10 +335,8 @@ def run_checks(trials: int = 200, grid: int = 15, seed: int = 0) -> list[CheckRe
         return max(_transfer_residuals(g, c_in, cloner.clone_pure(g, psi), normal).values())
 
     def closed_forms(report):
-        return max(
-            abs(report.f_b_quad - report.f_b_closed),
-            abs(report.f_mb_closed - report.f_b_closed),
-        )
+        return max(abs(report.f_a_quad - report.f_a_closed),
+                   abs(report.f_b_quad - report.f_b_closed))
 
     def ordering(report):
         return report.f_m_quad - report.f_av_quad

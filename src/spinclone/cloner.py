@@ -32,7 +32,7 @@ from the eigenstate amplitudes of a and b.  The public :func:`clone_unitary`,
 call and are not on the clone path.  A clone reads its reduced states and
 Bloch vectors off the joint's entries: with J the 2x2 reshape of a pure
 output, rho_a = J J^dag and rho_b = J^T J^*; for a mixed output they are
-block sums of K rho K^dag.
+linalg's partial traces of K rho K^dag.
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -73,7 +73,7 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import _dot, _spin_amplitudes, as_density, as_state
+from .linalg import _dot, _inplane_pair, _qubit, _reduced, _spin_amplitudes, as_density, as_state
 from .measurement import DEGENERATE_TOL, MeasurementGeometry, _born_probabilities
 
 #: Gram residual above which the basis constructor refuses to return.
@@ -129,16 +129,6 @@ class CloneOutput:
     bloch_b: np.ndarray
     probabilities: np.ndarray
     lambdas: np.ndarray | None = None
-
-
-def _inplane_pair(t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Spin eigenstates of an x-z plane axis at signed polar angle t.
-
-    Matches spin_eigenstates for such axes, including the sign of zero in
-    the x component; the amplitudes are real.
-    """
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return (np.array([c, s]), np.array([-s, c]))
 
 
 #: a+, a- in the canonical frame, where a lies along z.
@@ -197,13 +187,14 @@ def _machine_table(g: MeasurementGeometry) -> tuple[list[float], list[complex]]:
     # negative branch when the x component underflows to -0.0
     t_m, t_l, t_b = (math.atan2(_dot(n, e1) + 0.0, _dot(n, a))
                      for n in (g.m.tolist(), g.l.tolist(), b))
-    half = 0.5 * (t_m - t_l)
-    cos_e, sin_e = -math.cos(half), math.sin(half)
+    # e = pi - (t_m - t_l)/2, so (-cos(e), sin(e)) is the in-plane plus at t_m - t_l
+    (cos_half, sin_e), _ = _inplane_pair(t_m - t_l)
+    cos_e = -cos_half
     # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry
     p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p
     sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    (mp0, mp1), (mm0, mm1), (lp0, lp1), (lm0, lm1), b_plus, b_minus = (
-        x.tolist() for x in (*_inplane_pair(t_m), *_inplane_pair(t_l), *_inplane_pair(t_b)))
+    ((mp0, mp1), (mm0, mm1)), ((lp0, lp1), (lm0, lm1)), (b_plus, b_minus) = map(
+        _inplane_pair, (t_m, t_l, t_b))
     # factors[k][i][j]: amplitude i of the first-qubit factor of vector k that
     # pairs with |b+> (j = 0) or |b-> (j = 1), in outcome order.  With |b+> come
     # the m eigenstates and the l eigenstates on the antipodal branch; with |b->
@@ -305,13 +296,6 @@ def _kept(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
     return machine
 
 
-def _qubit(r00, r10, r11) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian 2x2 rho with diagonal Re r00, Re r11 and lower entry r10, and its Bloch vector."""
-    r00, r11 = r00.real, r11.real
-    return (np.array([[r00, r10.conjugate()], [r10, r11]]),
-            np.array([2.0 * r10.real, 2.0 * r10.imag, r00 - r11]))
-
-
 def clone_pure(g: MeasurementGeometry, psi) -> CloneOutput:
     """Clone a pure state: the output K|psi> is U applied to |psi> and the b+ ancilla.
 
@@ -340,10 +324,9 @@ def clone_mixed(g: MeasurementGeometry, rho) -> CloneOutput:
     joint.setflags(write=False)
     # diag(P^dag joint P): the product-basis weights of joint
     probs = ((p_dag @ joint) * p_dag.conj()).sum(1).real
-    # r[2i + j][2k + l]: rho_a sums the diagonal j = l blocks, rho_b the diagonal i = k blocks
-    r = joint.tolist()
-    rho_a, bloch_a = _qubit(r[0][0] + r[1][1], r[2][0] + r[3][1], r[2][2] + r[3][3])
-    rho_b, bloch_b = _qubit(r[0][0] + r[2][2], r[1][0] + r[3][2], r[1][1] + r[3][3])
+    ((a00, _), (a10, a11)), ((b00, _), (b10, b11)) = _reduced(joint.tolist())
+    rho_a, bloch_a = _qubit(a00, a10, a11)
+    rho_b, bloch_b = _qubit(b00, b10, b11)
     return CloneOutput(joint, rho_a, rho_b, bloch_a, bloch_b, probs)
 
 

@@ -12,8 +12,11 @@ Conventions used throughout the package:
   (-e^{-if} sin(t/2), cos(t/2)).  For axes in the x-z plane all
   amplitudes are real.
 
-All functions are pure and allocate fresh arrays; there is no shared
-mutable state, so everything here is safe for concurrent use.
+The half-angle eigenstate pair (``_inplane_pair``), the Bloch vector of a
+2x2 (``_bloch``) and the reduced states of a 4x4 (``_reduced``) are written
+once, here, on Python scalars and rows; the public functions wrap them in
+arrays.  All functions are pure; there is no shared mutable state, so
+everything here is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -124,13 +127,19 @@ def spin_eigenstates(n) -> tuple[np.ndarray, np.ndarray]:
     The global phases follow the package convention described in the
     module docstring; the pair is orthonormal.
     """
-    return _spin_eigenstates(as_unit_vector(n))
-
-
-def _spin_eigenstates(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(+1, -1) eigenstates of n.sigma for a real unit 3-vector, without validation."""
-    plus, minus = _spin_amplitudes(n.tolist())
+    plus, minus = _spin_amplitudes(as_unit_vector(n).tolist())
     return np.array(plus), np.array(minus)
+
+
+def _inplane_pair(t: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Amplitudes of the (+1, -1) eigenstates of n.sigma for n = (sin t, 0, cos t), as floats.
+
+    The package convention at azimuth 0, for a signed polar angle t; for t
+    in [0, pi] or -0.0 it matches spin_eigenstates down to the sign of a
+    zero.  Every scalar cos or sin of a half angle in the package is taken here.
+    """
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return (c, s), (-s, c)
 
 
 def _spin_amplitudes(n) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -144,7 +153,8 @@ def _spin_amplitudes(n) -> tuple[tuple[complex, complex], tuple[complex, complex
     # atan2 keeps theta accurate near the poles, where arccos(n_z) loses digits
     theta = math.atan2(math.hypot(x, y), z)
     phi = math.atan2(y, x)
-    c, s = complex(math.cos(theta / 2)), math.sin(theta / 2)
+    (c, s), _ = _inplane_pair(theta)
+    c = complex(c)
     return (c, cmath.exp(1j * phi) * s), (-cmath.exp(-1j * phi) * s, c)
 
 
@@ -168,33 +178,40 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     """
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep!r}")
-    return _reduced(as_density(rho, dim=4))[keep - 1]
+    return np.array(_reduced(as_density(rho, dim=4).tolist())[keep - 1])
 
 
-def _reduced(rho4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced states (rho_1, rho_2) of a 4x4 operator, without validation.
+def _reduced(r) -> tuple[tuple, tuple]:
+    """Reduced states (rho_1, rho_2) of a 4x4 operator given as rows, as nested pairs.
 
-    With r[i, j, k, l] = rho4[2i + j, 2k + l], rho_1 sums the diagonal
+    Nothing is validated.  With r[2i + j][2k + l], rho_1 sums the diagonal
     j = l blocks and rho_2 the diagonal i = k blocks.
     """
-    r = rho4.reshape(2, 2, 2, 2)
-    return r[:, 0, :, 0] + r[:, 1, :, 1], r[0, :, 0, :] + r[1, :, 1, :]
+    return (((r[0][0] + r[1][1], r[0][2] + r[1][3]), (r[2][0] + r[3][1], r[2][2] + r[3][3])),
+            ((r[0][0] + r[2][2], r[0][1] + r[2][3]), (r[1][0] + r[3][2], r[1][1] + r[3][3])))
 
 
 def bloch_from_density(rho) -> np.ndarray:
     """Bloch vector (tr(rho sigma_x), tr(rho sigma_y), tr(rho sigma_z))."""
-    return _bloch(as_density(rho, dim=2))
+    return np.array(_bloch(as_density(rho, dim=2).tolist()))
 
 
-def _bloch(rho2: np.ndarray) -> np.ndarray:
-    """Bloch vector Re tr(rho sigma_k), k = x, y, z, of a 2x2 operator, without validation.
+def _bloch(rho2) -> tuple[float, float, float]:
+    """Bloch vector Re tr(rho sigma_k), k = x, y, z, of a 2x2 operator given as rows.
 
-    For a hermitian rho this is (2 Re rho_10, 2 Im rho_10, rho_00 - rho_11).
-    Both off-diagonal entries enter, so the values are these traces for any
-    2x2 operator, hermitian or not.
+    Nothing is validated.  For a hermitian rho this is (2 Re rho_10,
+    2 Im rho_10, rho_00 - rho_11).  Both off-diagonal entries enter, so the
+    values are these traces for any 2x2 operator, hermitian or not.
     """
-    r00, r01, r10, r11 = rho2.ravel().tolist()
-    return np.array([(r01 + r10).real, (r10 - r01).imag, (r00 - r11).real])
+    (r00, r01), (r10, r11) = rho2
+    return (r01 + r10).real, (r10 - r01).imag, (r00 - r11).real
+
+
+def _qubit(r00, r10, r11) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian 2x2 rho with diagonal Re r00, Re r11 and lower entry r10, and its Bloch vector."""
+    r00, r11 = r00.real, r11.real
+    return (np.array([[r00, r10.conjugate()], [r10, r11]]),
+            np.array([2.0 * r10.real, 2.0 * r10.imag, r00 - r11]))
 
 
 def density_from_bloch(c) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, IDENTITY_2, _dot, _pauli, as_density, as_unit_vector
+from .linalg import ATOL, IDENTITY_2, _bloch, _dot, _pauli, as_density, as_unit_vector
 
 #: Outcome labels, ordered (a-outcome, b-outcome).
 OUTCOME_LABELS = ("++", "+-", "-+", "--")
@@ -239,9 +239,9 @@ def _born_probabilities(g: MeasurementGeometry, rho: np.ndarray) -> list[float]:
     With rho's trace t and Bloch vector c = Re tr(rho sigma) read from its
     entries, tr(rho Pi_k) = w_k/2 (t + n_k.c).
     """
-    r00, r01, r10, r11 = rho.ravel().tolist()
+    rows = (r00, _), (_, r11) = rho.tolist()
     trace = r00.real + r11.real
-    c = ((r01 + r10).real, (r10 - r01).imag, (r00 - r11).real)
+    c = _bloch(rows)
     weights, axes = _outcome_terms(g)
     return [0.5 * w * (trace + _dot(n, c)) for w, n in zip(weights, axes)]
 

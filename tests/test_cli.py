@@ -108,15 +108,25 @@ def _cloner_loses_to_measurement(fn):
     return reports
 
 
+def _single_clone_closed_form_shifted(fn):
+    def reports(geometries, *args, **kwargs):
+        return [dataclasses.replace(rep, f_a_closed=rep.f_a_closed + 1e-8)
+                for rep in fn(geometries, *args, **kwargs)]
+    return reports
+
+
 @pytest.mark.parametrize("module,name,corrupt,suite", [
     (linalg_module, "partial_trace", _times(1.01), "partial trace preserves trace"),
     (measurement_module, "build_povm", _povm_pp_scaled, "povm completeness"),
     (cloner_module, "clone_unitary", _times(1.01), "cloning unitary unitarity"),
     (fidelity_module, "fidelity_reports", _cloner_loses_to_measurement,
      "cloner dominates measure-and-prepare"),
+    (fidelity_module, "fidelity_reports", _single_clone_closed_form_shifted,
+     "single-clone closed forms vs quadrature"),
     # a NaN residual must fail, not be passed over by max()
     (linalg_module, "partial_trace", _times(np.nan), "partial trace preserves trace"),
-], ids=["partial_trace", "build_povm", "clone_unitary", "fidelity_reports", "partial_trace_nan"])
+], ids=["partial_trace", "build_povm", "clone_unitary", "fidelity_reports", "f_a_closed",
+        "partial_trace_nan"])
 def test_check_detects_injected_fault(capsys, monkeypatch, module, name, corrupt, suite):
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     code, out, _ = run(capsys, ["check", "--trials", "10", "--grid", "4"])

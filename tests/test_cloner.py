@@ -108,7 +108,7 @@ def test_naimark_basis_detects_broken_convention(monkeypatch):
 
     def corrupted(t):
         plus, minus = original(t)
-        return plus, -minus
+        return plus, tuple(-x for x in minus)
 
     monkeypatch.setattr(cloner_module, "_inplane_pair", corrupted)
     with pytest.raises(OrthonormalityFailure):
@@ -122,7 +122,7 @@ def test_clone_unitary_detects_broken_convention(monkeypatch):
 
     def corrupted(t):
         plus, minus = original(t)
-        return plus, -minus
+        return plus, tuple(-x for x in minus)
 
     def unused(g):
         raise AssertionError("clone_unitary must not call naimark_basis")
@@ -540,7 +540,7 @@ def test_failed_stack_build_keeps_nothing(monkeypatch):
 
     def corrupted(t):
         plus, minus = original(t)
-        return plus, -minus
+        return plus, tuple(-x for x in minus)
 
     geometries = [geometry_from_angles(alpha, beta_max(alpha, 1.0), 1.0)
                   for alpha in np.linspace(0.1, 0.9, 5)]
@@ -581,7 +581,7 @@ def test_failed_build_keeps_nothing(monkeypatch):
 
     def corrupted(t):
         plus, minus = original(t)
-        return plus, -minus
+        return plus, tuple(-x for x in minus)
 
     g, psi = derived_geometry(), np.array([0.6, 0.8j])
     monkeypatch.setattr(cloner_module, "_inplane_pair", corrupted)

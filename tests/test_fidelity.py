@@ -287,14 +287,6 @@ def test_report_flags_singular_closed_forms():
     assert 0.0 <= report.f_av_quad <= 1.0
 
 
-def test_ordering_coherent_dominates_prepared():
-    for alpha in np.linspace(0, 1, 15):
-        for eta in np.linspace(0, np.pi, 15):
-            g = geometry_from_angles(alpha, beta_max(alpha, eta), eta)
-            report = fidelity_report(g, resolution=24)
-            assert report.f_av_quad >= report.f_m_quad - 1e-10
-
-
 def test_monte_carlo_reproduces_quadrature():
     # three-way consistency: quadrature, Haar Monte Carlo and closed form
     for i, (alpha, eta) in enumerate([(0.2, 0.7), (0.6, np.pi / 2), (0.9, 2.2), (0.4, 1.9)]):
@@ -416,18 +408,19 @@ def test_single_clone_averages_do_not_depend_on_resolution(rng):
 # the cloner against measure-and-prepare
 
 
-def frontier_reports(alphas, etas):
+def frontier_reports(alphas, etas, resolution=fidelity_module.DEFAULT_RESOLUTION):
     return fidelity_reports([geometry_from_angles(alpha, beta_max(alpha, eta), eta)
-                             for alpha in alphas for eta in etas])
+                             for alpha in alphas for eta in etas], resolution)
 
 
-def test_cloner_never_loses_to_measure_and_prepare(rng):
-    # On the default sweep grid and on random frames the coherent sum of the
-    # four branches is never below the incoherent one, and the two coincide
-    # where the axes commute
+def test_ordering_coherent_dominates_prepared(rng):
+    # On the default sweep grid, a 15 x 15 grid at resolution 24 and random
+    # frames the coherent sum of the four branches is never below the
+    # incoherent one, and the two coincide where the axes commute
     grid = frontier_reports(np.linspace(0.0, 1.0, 41), np.linspace(0.0, np.pi, 41))
+    fine = frontier_reports(np.linspace(0.0, 1.0, 15), np.linspace(0.0, np.pi, 15), 24)
     frames = fidelity_reports([random_geometry(rng) for _ in range(300)])
-    for report in grid + frames:
+    for report in grid + fine + frames:
         assert report.f_av_quad - report.f_m_quad >= -1e-15
     commuting = [r for r in grid if r.eta in (0.0, np.pi)]
     assert len(commuting) == 82

@@ -157,18 +157,19 @@ def is_halved(node):
 
 
 def test_cloner_takes_half_angles_only_in_its_inplane_pair():
-    # The eigenstates of a come from linalg._spin_eigenstates; the cloner's own
-    # cos/sin of a half angle belong to the real x-z plane pair alone.
-    path = PACKAGE / "cloner.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    owner = enclosing_functions(tree)
-    owners = {
-        owner[node]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.cos", "math.sin")
-        and any(is_halved(arg) for arg in node.args)
-    }
-    assert sorted(owners) == ["_inplane_pair"]
+    # Every scalar cos/sin of a half angle in the package, the cloner's real
+    # x-z plane pairs and the eigenstates of any axis alike, is linalg._inplane_pair's.
+    owners = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = enclosing_functions(tree)
+        owners |= {
+            f"{path.name}:{owner[node]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.cos", "math.sin")
+            and any(is_halved(arg) for arg in node.args)
+        }
+    assert sorted(owners) == ["linalg.py:_inplane_pair"]
 
 
 def test_mutation_catalogue_applies_to_the_source():

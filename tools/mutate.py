@@ -39,9 +39,6 @@ CATALOGUE = (
     ("clone-signs-all-plus", "cloner.py",
      "_CLONE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])",
      "_CLONE_SIGNS = np.array([1.0, 1.0, 1.0, 1.0])"),
-    ("clone-bloch-y-flipped", "cloner.py", "2.0 * r10.imag", "-2.0 * r10.imag"),
-    ("clone-mixed-rho-b-block", "cloner.py",
-     "r[1][0] + r[3][2], r[1][1] + r[3][3]", "r[1][0] + r[3][1], r[1][1] + r[3][3]"),
     ("clone-amplitudes-conjugated", "cloner.py",
      "lambdas = p_dag @ joint", "lambdas = p_dag.conj() @ joint"),
     ("machine-p-clamp-1e-6", "cloner.py",
@@ -51,9 +48,15 @@ CATALOGUE = (
      "chi = cmath.phase(_dot(b, f))", "chi = -cmath.phase(_dot(b, f))"),
     ("frame-map-half-turn-reversed", "cloner.py",
      "u = cmath.exp(-0.5j * chi)", "u = cmath.exp(0.5j * chi)"),
+    # The qubit formulas
+    ("inplane-pair-minus-flipped", "linalg.py",
+     "return (c, s), (-s, c)", "return (c, s), (s, -c)"),
+    ("clone-bloch-y-flipped", "linalg.py", "2.0 * r10.imag", "-2.0 * r10.imag"),
+    ("clone-mixed-rho-b-block", "linalg.py",
+     "r[1][0] + r[3][2], r[1][1] + r[3][3]", "r[1][0] + r[3][1], r[1][1] + r[3][3]"),
+    ("born-y-flipped", "linalg.py",
+     "return (r01 + r10).real, (r10 - r01).imag", "return (r01 + r10).real, (r01 - r10).imag"),
     # The measurement
-    ("born-y-flipped", "measurement.py",
-     "c = ((r01 + r10).real, (r10 - r01).imag", "c = ((r01 + r10).real, (r01 - r10).imag"),
     ("born-axis-sign", "measurement.py",
      "(trace + _dot(n, c))", "(trace - _dot(n, c))"),
     ("beta-max-cross-scaled", "measurement.py",
@@ -95,6 +98,8 @@ CATALOGUE = (
     ("sweep-steps-bound-40", "cli.py", "MAX_SWEEP_STEPS = 201", "MAX_SWEEP_STEPS = 40"),
     ("quad-res-bound-32", "cli.py", "MAX_QUAD_RES = 256", "MAX_QUAD_RES = 32"),
     ("csv-16-digits", "cli.py", '_CSV_ROW = "%.17g,"', '_CSV_ROW = "%.16g,"'),
+    ("check-closed-forms-drop-f-a", "cli.py",
+     "abs(report.f_a_quad - report.f_a_closed)", "0.0"),
 )
 
 #: The tier-1 test that checks every catalogue entry still applies to ``src/``
