@@ -413,14 +413,20 @@ def frontier_reports(alphas, etas, resolution=fidelity_module.DEFAULT_RESOLUTION
                              for alpha in alphas for eta in etas], resolution)
 
 
-def test_ordering_coherent_dominates_prepared(rng):
-    # On the default sweep grid, a 15 x 15 grid at resolution 24 and random
-    # frames the coherent sum of the four branches is never below the
-    # incoherent one, and the two coincide where the axes commute
+def test_ordering_coherent_dominates_prepared():
+    # The ordering holds off the default resolution too: a 15 x 15 grid at
+    # resolution 24
+    for report in frontier_reports(np.linspace(0.0, 1.0, 15), np.linspace(0.0, np.pi, 15), 24):
+        assert report.f_av_quad - report.f_m_quad >= -1e-15
+
+
+def test_cloner_never_loses_to_measure_and_prepare(rng):
+    # On the default sweep grid and on random frames the coherent sum of the
+    # four branches is never below the incoherent one, and the two coincide
+    # where the axes commute
     grid = frontier_reports(np.linspace(0.0, 1.0, 41), np.linspace(0.0, np.pi, 41))
-    fine = frontier_reports(np.linspace(0.0, 1.0, 15), np.linspace(0.0, np.pi, 15), 24)
     frames = fidelity_reports([random_geometry(rng) for _ in range(300)])
-    for report in grid + fine + frames:
+    for report in grid + frames:
         assert report.f_av_quad - report.f_m_quad >= -1e-15
     commuting = [r for r in grid if r.eta in (0.0, np.pi)]
     assert len(commuting) == 82
