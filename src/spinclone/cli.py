@@ -9,9 +9,10 @@ sample  draw joint-measurement outcomes and chi-square them (JSON)
 
 Exit codes: 0 success, 1 invariant failure, 2 usage or configuration
 error.  Size flags have upper bounds (``MAX_*`` below), checked at parse
-time like every other usage error.  All numeric output is serialized
-with 17 significant digits and is byte-identical across reruns with the
-same configuration and seed.
+time like most usage errors; ``--bloch-r`` and the sweep's eta range are
+checked when the command runs, which then returns 2.  All numeric output
+is serialized with 17 significant digits and is byte-identical across
+reruns with the same configuration and seed.
 """
 
 from __future__ import annotations

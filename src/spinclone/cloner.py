@@ -22,13 +22,13 @@ in one call and keep none; a machine's bits do not depend on its stack, so
 they equal the kept ones.  A build is a scalar table per geometry (the frame
 map, the in-plane projections, the dilation factors and the eigenstate
 amplitudes of a and b) followed by one array step over the stack; a clone's
-build is a stack of one.  The build never forms U.  It takes the frame map
-V, W = V (x) V and the real canonical-frame dilation vectors vec_k and
-products prod_k that :func:`clone_unitary` uses, behind the same Gram check
-on W vec_k, and forms K = W K~ V^dag with K~ = sum_k s_k prod_k r_k^T, where
-r_k is vec_k contracted on its second qubit with V^dag |b+>; P^dag comes
-from the eigenstate amplitudes of a and b.  The public :func:`clone_unitary`,
-:func:`naimark_basis` and :func:`product_basis` build fresh arrays on every
+build is a stack of one.  That step, :func:`_dilations`, is the one place the
+machine is written: it maps the real canonical-frame dilation vectors vec_k
+and products prod_k once by W = V (x) V, checks the Gram matrix of the
+W vec_k, and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  K is U (1 (x) |b+>),
+and P^dag comes from the eigenstate amplitudes of a and b.  The public
+:func:`clone_unitary` returns that U and :func:`naimark_basis` re-phases the
+same W vec_k; they and :func:`product_basis` build fresh arrays on every
 call and are not on the clone path.  A clone reads its reduced states and
 Bloch vectors off the joint's entries: with J the 2x2 reshape of a pure
 output, rho_a = J J^dag and rho_b = J^T J^*; for a mixed output they are
@@ -208,15 +208,16 @@ def _machine_table(g: MeasurementGeometry) -> tuple[list[float], list[complex]]:
 
 
 def _dilations(geometries) -> tuple[np.ndarray, ...]:
-    """Frame maps and dilations of a stack of N geometries, in one array step.
+    """Cloning unitaries and dilations of a stack of N geometries, in one array step.
 
-    Takes each geometry's :func:`_machine_table` and returns W = V (x) V, the
-    real canonical-frame ``vecs`` and ``prods`` (rows: the dilation vectors and
-    the products |a_i>|b_j> in outcome order), the package products
-    P = product_basis, each (N, 4, 4), and the table's complex blocks
-    (N, 3, 2, 2): V, (a+, a-) and (b+, b-).  Raises
-    :class:`OrthonormalityFailure` if the Gram matrix of ``w @ vecs.T`` misses
-    the identity by > ``ORTHONORMALITY_TOL`` on any geometry of the stack.
+    Takes each geometry's :func:`_machine_table`, maps the real canonical-frame
+    dilation vectors vec_k and products prod_k (outcome order) by W = V (x) V,
+    and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  Returns U, the mapped
+    dilation vectors and products as the columns of ``mapped`` and
+    ``targets``, the package products P = product_basis, each (N, 4, 4), and
+    the package |b+>, (N, 2).  Raises :class:`OrthonormalityFailure` if the
+    Gram matrix of ``mapped`` misses the identity by > ``ORTHONORMALITY_TOL``
+    on any geometry of the stack.
     """
     reals, complexes = zip(*map(_machine_table, geometries))
     n = len(reals)
@@ -231,6 +232,7 @@ def _dilations(geometries) -> tuple[np.ndarray, ...]:
     w = kron[:, 0]
     # Real factors are cast to complex up front: the values matmul's own cast gives, for less
     mapped = w @ vecs.astype(complex).mT
+    targets = w @ prods.astype(complex).mT
     gram = mapped.conj().mT @ mapped
     gram -= _IDENTITY_4
     residual = float(np.abs(gram).max())
@@ -239,7 +241,8 @@ def _dilations(geometries) -> tuple[np.ndarray, ...]:
             f"dilation basis Gram residual {residual:.3e} exceeds {ORTHONORMALITY_TOL:.0e}; "
             "phase or frame convention is broken"
         )
-    return w, vecs, prods, kron[:, 1], blocks
+    u = (targets * _CLONE_SIGNS) @ mapped.conj().mT
+    return u, mapped, targets, kron[:, 1], blocks[:, 2, 0]
 
 
 def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
@@ -249,34 +252,24 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
     constructed vectors misses the identity by more than
     ``ORTHONORMALITY_TOL``.
     """
-    w, vecs, prods, products, _ = (x[0] for x in _dilations([g]))
+    _, mapped, targets, products, _ = (x[0] for x in _dilations([g]))
     # Phase of each mapped canonical product state relative to spin_eigenstates;
     # dividing it out keeps the unitary in signed product form in that convention.
-    phases = np.einsum("ij,ij->i", products.conj(), prods @ w.T)
-    vectors = ((w @ vecs.T) * (phases.conj() / np.abs(phases))).T.copy()
+    phases = np.einsum("kj,jk->k", products.conj(), targets)
+    vectors = (mapped * (phases.conj() / np.abs(phases))).T.copy()
     vectors.setflags(write=False)
     return NaimarkBasis(*vectors)
 
 
 def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
-    """Two-qubit cloning unitary W U_c W^dag, U_c = sum_i s_i |prod_i><vec_i| real."""
-    w, vecs, prods = (x[0] for x in _dilations([g])[:3])
-    u_c = (prods.T * _CLONE_SIGNS) @ vecs
-    return w @ u_c @ w.conj().T
+    """Two-qubit cloning unitary U = sum_k s_k W|prod_k><vec_k|W^dag of :func:`_dilations`."""
+    return _dilations([g])[0][0]
 
 
 def _build_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
-    """Clone isometries K = U (1 (x) |b+>), (N, 4, 2), and P^dag = conj(product_basis), (N, 4, 4).
-
-    K = W K~ V^dag with K~ = sum_k s_k prod_k r_k^T, where r_k is the
-    canonical dilation vector vec_k contracted on its second qubit with
-    V^dag |b+>: U is never formed.
-    """
-    w, vecs, prods, products, blocks = _dilations(geometries)
-    n = len(w)
-    v_dag = blocks[:, 0].conj().mT
-    r = vecs.astype(complex).reshape(n, 4, 2, 2) @ (v_dag @ blocks[:, 2, 0, :, None])[:, None]
-    k = w @ ((prods.mT * _CLONE_SIGNS).astype(complex) @ r.reshape(n, 4, 2)) @ v_dag
+    """Clone isometries K = U (1 (x) |b+>), (N, 4, 2), and P^dag = conj(P), (N, 4, 4)."""
+    u, _, _, products, b_plus = _dilations(geometries)
+    k = (u.reshape(-1, 4, 2, 2) @ b_plus[:, None, :, None]).reshape(-1, 4, 2)
     return k, products.conj()
 
 

@@ -48,7 +48,7 @@ from itertools import compress
 import numpy as np
 
 from . import cloner
-from .linalg import as_density, as_state
+from .linalg import _inplane_pair, as_density, as_state
 from .measurement import MeasurementGeometry
 
 #: Gauss-Legendre nodes in cos(theta), phi gets twice as many; 2 is exact.
@@ -67,12 +67,9 @@ def _grid_data(resolution: int) -> tuple[np.ndarray, ...]:
     theta = np.arccos(nodes)
     n_phi = 2 * resolution
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    states = np.stack(
-        [np.cos(th / 2).ravel(),
-         np.exp(1j * ph.ravel()) * np.sin(th / 2).ravel()],
-        axis=1,
-    )
+    # (cos(theta/2), sin(theta/2)) per theta node, repeated over the phi nodes
+    c, s = np.repeat([_inplane_pair(t)[0] for t in theta.tolist()], n_phi, axis=0).T
+    states = np.stack([c, np.exp(1j * np.tile(phi, resolution)) * s], axis=1)
     weights = np.repeat(gl_weights / 2.0, n_phi) / n_phi
     pair_conj = np.einsum("ni,nj->nij", states.conj(), states.conj()).reshape(-1, 4)
     cached = (states, weights, pair_conj)
@@ -134,6 +131,8 @@ def _closed_forms(alpha, beta, eta, p) -> np.ndarray:
     root_b = np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
     cos, sin = np.cos(eta), np.sin(eta)
     p = np.where(p > 0.0, p, np.nan)  # a nan p carries into both singular forms
+    # The term F_av and F_a share, over 24p and over 12p
+    shared = alpha * root_b + beta * root_b * cos + beta * root_a * sin
     f_av = (
         0.25
         + alpha / 12.0
@@ -141,14 +140,9 @@ def _closed_forms(alpha, beta, eta, p) -> np.ndarray:
         + alpha * beta / 12.0 * cos ** 2
         + root_b / 12.0
         + root_a / 12.0 * sin
-        + (alpha * root_b + beta * root_b * cos + beta * root_a * sin) / (24.0 * p)
+        + shared / (24.0 * p)
     )
-    f_a = (
-        0.5
-        + alpha / 6.0
-        + root_b / 6.0
-        + (alpha * root_b + beta * cos * root_b + beta * sin * root_a) / (12.0 * p)
-    )
+    f_a = 0.5 + alpha / 6.0 + root_b / 6.0 + shared / (12.0 * p)
     f_b = 0.5 + beta / 6.0
     return np.array([f_av, f_a, f_b, 0.5 + alpha / 6.0, f_b])
 

@@ -24,7 +24,7 @@ def random_geometry(rng):
     """Saturating geometry with arbitrary axes in 3-space."""
     a = random_unit_vector(rng)
     b = random_unit_vector(rng)
-    eta = np.arccos(np.clip(a @ b, -1.0, 1.0))
+    eta = 2.0 * np.arctan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
     alpha = rng.uniform(0.0, 1.0)
     return build_geometry(a, b, alpha, beta_max(alpha, eta))
 

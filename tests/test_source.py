@@ -157,8 +157,9 @@ def is_halved(node):
 
 
 def test_cloner_takes_half_angles_only_in_its_inplane_pair():
-    # Every scalar cos/sin of a half angle in the package, the cloner's real
-    # x-z plane pairs and the eigenstates of any axis alike, is linalg._inplane_pair's.
+    # Every cos/sin of a half angle in the package, scalar or numpy, the cloner's
+    # real x-z plane pairs, the eigenstates of any axis and the quadrature nodes
+    # alike, is linalg._inplane_pair's.
     owners = set()
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -166,7 +167,8 @@ def test_cloner_takes_half_angles_only_in_its_inplane_pair():
         owners |= {
             f"{path.name}:{owner[node]}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.cos", "math.sin")
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("math.cos", "math.sin", "np.cos", "np.sin")
             and any(is_halved(arg) for arg in node.args)
         }
     assert sorted(owners) == ["linalg.py:_inplane_pair"]

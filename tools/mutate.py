@@ -48,6 +48,11 @@ CATALOGUE = (
      "chi = cmath.phase(_dot(b, f))", "chi = -cmath.phase(_dot(b, f))"),
     ("frame-map-half-turn-reversed", "cloner.py",
      "u = cmath.exp(-0.5j * chi)", "u = cmath.exp(0.5j * chi)"),
+    ("clone-isometry-b-minus", "cloner.py", "blocks[:, 2, 0]", "blocks[:, 2, 1]"),
+    ("clone-unitary-unconjugated", "cloner.py",
+     "(targets * _CLONE_SIGNS) @ mapped.conj().mT", "(targets * _CLONE_SIGNS) @ mapped.mT"),
+    ("naimark-phases-unconjugated", "cloner.py",
+     "products.conj(), targets", "products, targets"),
     # The qubit formulas
     ("inplane-pair-minus-flipped", "linalg.py",
      "return (c, s), (-s, c)", "return (c, s), (s, -c)"),
@@ -77,6 +82,8 @@ CATALOGUE = (
      "f_b = 0.5 + beta / 6.0", "f_b = 0.5 + beta / 7.0"),
     ("f-ma-closed-coefficient", "fidelity.py",
      "0.5 + alpha / 6.0, f_b]", "0.5 + alpha / 7.0, f_b]"),
+    ("closed-forms-shared-term", "fidelity.py",
+     "beta * root_a * sin", "beta * root_b * sin"),
     ("universal-baseline-constant", "fidelity.py",
      "return 25.0 / 36.0,", "return 26.0 / 36.0,"),
     ("f-m-scaled", "fidelity.py",
