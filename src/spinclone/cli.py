@@ -12,7 +12,10 @@ error.  Size flags have upper bounds (``MAX_*`` below), checked at parse
 time like most usage errors; ``--bloch-r`` and the sweep's eta range are
 checked when the command runs, which then returns 2.  All numeric output
 is serialized with 17 significant digits and is byte-identical across
-reruns with the same configuration and seed.
+reruns with the same configuration and seed.  The sweep renders each row
+from its stack's value columns (``fidelity._stack_values``) as one tuple,
+with no fidelity report or dict per grid point; :func:`sweep_rows` keys
+the same tuples by column name.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass, fields
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,8 +39,10 @@ SWEEP_COLUMNS = (
     "f_av_quad", "f_av_closed", "f_m_quad", "f_a_quad", "f_a_closed",
     "f_b_closed", "f_ma_closed", "f_mb_closed", "discrepancy_flags",
 )
-_report_fields = attrgetter(*SWEEP_COLUMNS[:-1])
 _row_fields = itemgetter(*SWEEP_COLUMNS)
+# The rows of fidelity._stack_values, which follow the FidelityReport fields, in column order
+_report_names = [f.name for f in fields(fidelity.FidelityReport)]
+_COLUMN_ROWS = [_report_names.index(c) for c in SWEEP_COLUMNS[:-1]]
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 # Upper bounds on the size flags.  The work and memory of a run grow with
@@ -134,13 +140,27 @@ def _json_value(v) -> str:
 _CSV_ROW = "%.17g," * (len(SWEEP_COLUMNS) - 1) + "%s\r\n"
 
 
+# The JSON object of one row, as _json_value writes a dict with the SWEEP_COLUMNS keys
+_JSON_ROW = "  {" + ", ".join(f"{_quote(c)}: %s" for c in SWEEP_COLUMNS) + "}"
+
+
+def _csv_text(rows: Iterable[tuple]) -> str:
+    """The sweep CSV of rows given as tuples in ``SWEEP_COLUMNS`` order."""
+    return ",".join(SWEEP_COLUMNS) + "\r\n" + "".join([_CSV_ROW % row for row in rows])
+
+
+def _json_text(rows: Iterable[tuple]) -> str:
+    """The sweep JSON of rows given as tuples in ``SWEEP_COLUMNS`` order."""
+    body = ",\n".join([_JSON_ROW % tuple(map(_json_value, row)) for row in rows])
+    return "[\n" + body + "\n]\n"
+
+
 def _render_rows_csv(rows: Iterable[dict]) -> str:
-    return ",".join(SWEEP_COLUMNS) + "\r\n" + "".join([_CSV_ROW % _row_fields(r) for r in rows])
+    return _csv_text(map(_row_fields, rows))
 
 
 def _render_rows_json(rows: Iterable[dict]) -> str:
-    body = ",\n".join("  " + _json_value(row) for row in rows)
-    return "[\n" + body + "\n]\n"
+    return _json_text(map(_row_fields, rows))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -396,25 +416,31 @@ def cmd_check(args) -> int:
 # ----------------------------------------------------------------------
 # sweep
 
-def _sweep_row_iter(cfg: SweepConfig) -> Iterator[dict]:
-    """The rows of :func:`sweep_rows`, one alpha row's stack at a time."""
+def _sweep_row_iter(cfg: SweepConfig) -> Iterator[tuple]:
+    """The rows of :func:`sweep_rows` as tuples in ``SWEEP_COLUMNS`` order.
+
+    Each alpha row's geometries are built, and so validated, in eta order,
+    then evaluated by the stacks of ``fidelity._stack_values``; a stack's
+    value columns become rows with one index and one ``tolist`` per stack.
+    """
     cfg.validate()
     # Python floats: per-geometry formulas take them faster than np.float64
     etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_steps).tolist()
     for alpha in np.linspace(0.0, 1.0, cfg.alpha_steps).tolist():
         geometries = [_geometry(cfg.beta_policy, alpha, eta) for eta in etas]
-        for rep in fidelity.fidelity_reports(geometries, resolution=cfg.resolution):
-            yield dict(zip(SWEEP_COLUMNS, (*_report_fields(rep), ";".join(rep.discrepancies))))
+        for values, bad in fidelity._stack_values(geometries, cfg.resolution):
+            flags = [";".join(compress(fidelity._FLAG_NAMES, f)) for f in bad.T.tolist()]
+            yield from zip(*values[_COLUMN_ROWS].tolist(), flags)
 
 
 def sweep_rows(cfg: SweepConfig) -> list[dict]:
     """Compute the sweep table in grid order (alpha outer, eta inner).
 
-    Each alpha row's geometries are built, and so validated, in eta order,
-    then evaluated together by :func:`spinclone.fidelity.fidelity_reports`,
-    which builds their clone machines per stack, not per geometry.
+    The rows are the values of :func:`spinclone.fidelity.fidelity_reports`
+    on the grid's geometries, keyed by ``SWEEP_COLUMNS``, with the flags joined
+    by ";"; the clone machines are built per stack, not per geometry.
     """
-    return list(_sweep_row_iter(cfg))
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in _sweep_row_iter(cfg)]
 
 
 def cmd_sweep(args) -> int:
@@ -431,7 +457,7 @@ def cmd_sweep(args) -> int:
     )
     # Rows stream into the renderer; the text is whole before anything is written
     rows = _sweep_row_iter(cfg)
-    text = _render_rows_csv(rows) if cfg.fmt == "csv" else _render_rows_json(rows)
+    text = _csv_text(rows) if cfg.fmt == "csv" else _json_text(rows)
     _write_text(cfg.out, text)
     return 0
 

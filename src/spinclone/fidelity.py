@@ -33,10 +33,13 @@ One kernel evaluates a stack of geometries as a single array program: the
 cloner builds K and P^dag for the whole stack in one call, and the averages,
 closed forms and discrepancy flags are computed for the whole stack at once.
 A stack keeps no machine on its geometries; the machines it builds equal, bit
-for bit, the ones a clone keeps.  :func:`fidelity_reports` splits a list of
+for bit, the ones a clone keeps.  ``_stack_values`` splits a list of
 geometries into stacks of at most ``STACK_NODES`` node evaluations (a whole
-sweep row at the default resolution, one geometry at resolution 64), and
-:func:`fidelity_report` is its call on a single geometry.
+sweep row at the default resolution, one geometry at resolution 64) and
+gives each stack's values as arrays, one row per report field, one column
+per geometry.  :func:`fidelity_reports` builds its reports from those
+columns, the command-line sweep renders its rows from them with no report
+per geometry, and :func:`fidelity_report` is the call on a single geometry.
 """
 
 from __future__ import annotations
@@ -178,12 +181,15 @@ def f_mixed_closed(g: MeasurementGeometry) -> tuple[float, float]:
 
 
 def universal_baseline() -> tuple[float, tuple[float, float]]:
-    """Two-copy fidelity and sharpness pair of the universal cloner.
+    """Product of single-copy fidelities and sharpness pair of the universal cloner.
 
-    The symmetric state-independent cloner shrinks Bloch vectors by 2/3,
-    so used as a joint measurement it reaches sharpness (2/3, 2/3), which
-    never saturates the admissibility bound for non-parallel axes.  Its
-    two-particle fidelity is (5/6)^2 = 25/36.
+    The symmetric state-independent (Buzek-Hillery) cloner shrinks Bloch
+    vectors by 2/3, so used as a joint measurement it reaches sharpness
+    (2/3, 2/3), which never saturates the admissibility bound for
+    non-parallel axes.  Each of its copies has single-copy fidelity 5/6, and
+    25/36 = (5/6)^2 is the product of the two.  It is not the cloner's
+    two-copy fidelity <psi psi|rho_12|psi psi>: the copies are entangled,
+    and that average is 2/3.
     """
     return 25.0 / 36.0, (2.0 / 3.0, 2.0 / 3.0)
 
@@ -243,28 +249,33 @@ def _stack_averages(geometries, resolution: int) -> np.ndarray:
     return np.array([(f_global * weights).sum(axis=1), f_a, f_b, (f_m * weights).sum(axis=1)])
 
 
-def _stack_reports(geometries, resolution: int) -> list[FidelityReport]:
-    """Reports of one stack: its sphere averages, closed forms and discrepancy flags."""
-    quad = _stack_averages(geometries, resolution)
-    closed = _closed_forms(*np.array([(g.alpha, g.beta, g.eta, g.p) for g in geometries]).T)
-    # Rows f_av, f_a, f_b of both; a comparison with nan is False, hence isfinite
-    bad = ~np.isfinite(closed[:3]) | (np.abs(closed[:3] - quad[:3]) > DISCREPANCY_TOL)
-    return [FidelityReport(g.alpha, g.beta, g.eta, g.p, g.epsilon, av_q, av_c, a_q, a_c, b_q, b_c,
-                           m_q, ma_c, mb_c, tuple(compress(_FLAG_NAMES, flags)))
-            for g, (av_q, a_q, b_q, m_q, av_c, a_c, b_c, ma_c, mb_c), flags in zip(
-                geometries, np.concatenate([quad, closed]).T.tolist(), bad.T.tolist())]
-
-
-def fidelity_reports(geometries, resolution: int = DEFAULT_RESOLUTION) -> list[FidelityReport]:
-    """:func:`fidelity_report` of each geometry, evaluated as stacks in order.
+def _stack_values(geometries, resolution: int):
+    """Values and discrepancy mask of each stack of ``geometries``, in order.
 
     Each stack holds at most ``STACK_NODES`` node evaluations, and at least
-    one geometry.
+    one geometry.  Its values have one row per :class:`FidelityReport`
+    field but ``discrepancies``, in field order, and one column per
+    geometry; its mask has one row per ``_FLAG_NAMES`` entry, True where
+    that closed form is flagged.
     """
     geometries = list(geometries)
     size = max(1, STACK_NODES // len(_grid_data(resolution)[1]))
-    return [report for start in range(0, len(geometries), size)
-            for report in _stack_reports(geometries[start:start + size], resolution)]
+    for start in range(0, len(geometries), size):
+        stack = geometries[start:start + size]
+        params = np.array([(g.alpha, g.beta, g.eta, g.p, g.epsilon) for g in stack]).T
+        quad = _stack_averages(stack, resolution)
+        closed = _closed_forms(*params[:4])
+        # Rows f_av, f_a, f_b of both; a comparison with nan is False, hence isfinite
+        bad = ~np.isfinite(closed[:3]) | (np.abs(closed[:3] - quad[:3]) > DISCREPANCY_TOL)
+        (av_q, a_q, b_q, m_q), (av_c, a_c, b_c, ma_c, mb_c) = quad, closed
+        yield np.array([*params, av_q, av_c, a_q, a_c, b_q, b_c, m_q, ma_c, mb_c]), bad
+
+
+def fidelity_reports(geometries, resolution: int = DEFAULT_RESOLUTION) -> list[FidelityReport]:
+    """:func:`fidelity_report` of each geometry, read off the stacks of ``_stack_values``."""
+    return [FidelityReport(*row, tuple(compress(_FLAG_NAMES, flags)))
+            for values, bad in _stack_values(geometries, resolution)
+            for row, flags in zip(values.T.tolist(), bad.T.tolist())]
 
 
 def fidelity_report(

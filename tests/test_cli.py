@@ -311,6 +311,60 @@ def test_sweep_fixed_beta_rejects_non_saturating(capsys, tmp_path):
     assert not out.exists()
 
 
+DEG = math.pi / 180.0  # the scale cmd_sweep applies to --degrees angles
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    ([], (41, 41, 0.0, math.pi, 2)),
+    # one geometry per stack at resolution 64, so the rows come from many stacks
+    (["--alpha-steps", "9", "--eta-steps", "9", "--quad-res", "64"], (9, 9, 0.0, math.pi, 64)),
+    # rows with discrepancy flags
+    (["--alpha-steps", "5", "--eta-steps", "5", "--quad-res", "1"], (5, 5, 0.0, math.pi, 1)),
+    (["--alpha-steps", "7", "--eta-steps", "6", "--eta-min", "30", "--eta-max", "150",
+      "--degrees"], (7, 6, 30.0 * DEG, 150.0 * DEG, 2)),
+], ids=["default", "9x9-res64", "5x5-res1", "degrees"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_command_and_sweep_rows_render_the_same_bytes(tmp_path, argv, cfg, fmt):
+    # cmd_sweep renders row tuples; sweep_rows keys the same tuples by column
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(["sweep", *argv, "--format", fmt, "--out", str(out)]) == 0
+    rows = cli_module.sweep_rows(cli_module.SweepConfig(*cfg[:4], "max", cfg[4], "-", fmt))
+    render = cli_module._render_rows_csv if fmt == "csv" else cli_module._render_rows_json
+    with open(out, newline="") as fh:
+        assert fh.read() == render(rows)
+    if cfg[4] == 1:
+        assert any(r["discrepancy_flags"] for r in rows)
+
+
+@pytest.mark.parametrize("resolution", [1, 64])
+def test_sweep_rows_hold_the_report_fields_bit_for_bit(resolution):
+    cfg = cli_module.SweepConfig(5, 7, 0.0, math.pi, "max", resolution, "-", "csv")
+    geometries = [cli_module._geometry("max", alpha, eta)
+                  for alpha in np.linspace(0.0, 1.0, 5).tolist()
+                  for eta in np.linspace(0.0, math.pi, 7).tolist()]
+    rows = cli_module.sweep_rows(cfg)
+    reports = fidelity_module.fidelity_reports(geometries, resolution)
+    assert len(rows) == len(reports) == 35
+    for row, rep in zip(rows, reports):
+        assert row["discrepancy_flags"] == ";".join(rep.discrepancies)
+        for column in SWEEP_COLUMNS[:-1]:
+            got, want = row[column], getattr(rep, column)
+            assert type(got) is float
+            assert got == want or (math.isnan(got) and math.isnan(want)), column
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_fixed_beta_fails_with_the_first_non_saturating_point(capsys, tmp_path, fmt):
+    cfg = cli_module.SweepConfig(5, 5, 0.0, math.pi, 0.5, 2, "-", fmt)
+    with pytest.raises(measurement_module.NonSaturating) as raised:
+        cli_module.sweep_rows(cfg)
+    out = tmp_path / f"x.{fmt}"
+    code, stdout, err = run(capsys, ["sweep", "--alpha-steps", "5", "--eta-steps", "5",
+                                     "--beta", "0.5", "--format", fmt, "--out", str(out)])
+    assert (code, stdout, err) == (2, "", f"error: {raised.value}\n")
+    assert not out.exists()
+
+
 def test_sweep_builds_geometries_in_grid_order(monkeypatch):
     # Each alpha row's geometries are built, and so validated, before the row
     # is evaluated; the first bad point of the grid is the one that raises.

@@ -80,6 +80,14 @@ def test_beta_max_rejects_non_finite_eta(eta):
         beta_max(0.5, eta)
 
 
+def test_beta_max_upper_alpha_guard_at_its_threshold():
+    # alpha may exceed 1 by ATOL = 1e-12: a decade inside, it is read as 1, where
+    # beta_max is 0 for axes that are not (anti)parallel; a decade outside, refused.
+    assert beta_max(1.0 + 1e-13, 1.0) == 0.0
+    with pytest.raises(ValueError, match="alpha"):
+        beta_max(1.0 + 1e-11, 1.0)
+
+
 @pytest.mark.parametrize("delta", [1e-9, 1e-12])
 @pytest.mark.parametrize("antiparallel", [False, True])
 def test_build_geometry_resolves_tiny_axis_angles(delta, antiparallel):

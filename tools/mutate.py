@@ -64,6 +64,8 @@ CATALOGUE = (
     # The measurement
     ("born-axis-sign", "measurement.py",
      "(trace + _dot(n, c))", "(trace - _dot(n, c))"),
+    ("beta-max-alpha-guard-widened", "measurement.py",
+     "if not 0.0 <= alpha <= 1.0 + ATOL:", "if not 0.0 <= alpha <= 1.000001 + ATOL:"),
     ("beta-max-cross-scaled", "measurement.py",
      "cross = (alpha * math.sin(eta)) ** 2", "cross = (alpha * math.sin(eta)) ** 2 * (1 + 1e-7)"),
     ("degenerate-tol-1e-6", "measurement.py", "DEGENERATE_TOL = 1e-12", "DEGENERATE_TOL = 1e-6"),
@@ -105,6 +107,13 @@ CATALOGUE = (
     ("sweep-steps-bound-40", "cli.py", "MAX_SWEEP_STEPS = 201", "MAX_SWEEP_STEPS = 40"),
     ("quad-res-bound-32", "cli.py", "MAX_QUAD_RES = 256", "MAX_QUAD_RES = 32"),
     ("csv-16-digits", "cli.py", '_CSV_ROW = "%.17g,"', '_CSV_ROW = "%.16g,"'),
+    ("sweep-column-index-swapped", "cli.py",
+     "_COLUMN_ROWS = [_report_names.index(c) for c in SWEEP_COLUMNS[:-1]]",
+     "_COLUMN_ROWS = [_report_names.index(c) for c in SWEEP_COLUMNS[:-1]]\n"
+     "_COLUMN_ROWS[8], _COLUMN_ROWS[9] = _COLUMN_ROWS[9], _COLUMN_ROWS[8]"),
+    ("sweep-flags-dropped", "cli.py",
+     "zip(*values[_COLUMN_ROWS].tolist(), flags)",
+     "zip(*values[_COLUMN_ROWS].tolist(), [''] * len(flags))"),
     ("check-closed-forms-drop-f-a", "cli.py",
      "abs(report.f_a_quad - report.f_a_closed)", "0.0"),
 )
