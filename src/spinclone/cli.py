@@ -12,10 +12,11 @@ error.  Size flags have upper bounds (``MAX_*`` below), checked at parse
 time like most usage errors; ``--bloch-r`` and the sweep's eta range are
 checked when the command runs, which then returns 2.  All numeric output
 is serialized with 17 significant digits and is byte-identical across
-reruns with the same configuration and seed.  The sweep renders each row
-from its stack's value columns (``fidelity._stack_values``) as one tuple,
-with no fidelity report or dict per grid point; :func:`sweep_rows` keys
-the same tuples by column name.
+reruns with the same configuration and seed.  The sweep's columns are the
+first 13 ``FidelityReport`` fields, in field order, then the joined flags;
+each row is one tuple read off its stack's value columns
+(``fidelity._stack_values``), with no fidelity report or dict per grid
+point, and :func:`sweep_rows` keys the same tuples by column name.
 """
 
 from __future__ import annotations
@@ -25,24 +26,20 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
-from itertools import compress
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from . import cloner, fidelity, linalg, measurement
 
-# The FidelityReport fields of the same names, then the joined discrepancy flags.
+# The first 13 FidelityReport fields, in field order, then the joined discrepancy flags.
 SWEEP_COLUMNS = (
     "alpha", "beta", "eta", "p", "epsilon",
     "f_av_quad", "f_av_closed", "f_m_quad", "f_a_quad", "f_a_closed",
     "f_b_closed", "f_ma_closed", "f_mb_closed", "discrepancy_flags",
 )
 _row_fields = itemgetter(*SWEEP_COLUMNS)
-# The rows of fidelity._stack_values, which follow the FidelityReport fields, in column order
-_report_names = [f.name for f in fields(fidelity.FidelityReport)]
-_COLUMN_ROWS = [_report_names.index(c) for c in SWEEP_COLUMNS[:-1]]
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 # Upper bounds on the size flags.  The work and memory of a run grow with
@@ -71,10 +68,6 @@ class SweepConfig:
             raise ValueError("alpha-steps and eta-steps must both be >= 2")
         if not (-1e-9 <= self.eta_min <= self.eta_max <= math.pi + 1e-9):
             raise ValueError("eta range must satisfy 0 <= eta-min <= eta-max <= pi")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.resolution < 1:
-            raise ValueError("quad-res must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -421,16 +414,16 @@ def _sweep_row_iter(cfg: SweepConfig) -> Iterator[tuple]:
 
     Each alpha row's geometries are built, and so validated, in eta order,
     then evaluated by the stacks of ``fidelity._stack_values``; a stack's
-    value columns become rows with one index and one ``tolist`` per stack.
+    value columns but the last (``f_b_quad``) become rows with one
+    ``tolist`` per stack.  A resolution below 1 is refused there.
     """
     cfg.validate()
     # Python floats: per-geometry formulas take them faster than np.float64
     etas = np.linspace(cfg.eta_min, cfg.eta_max, cfg.eta_steps).tolist()
     for alpha in np.linspace(0.0, 1.0, cfg.alpha_steps).tolist():
         geometries = [_geometry(cfg.beta_policy, alpha, eta) for eta in etas]
-        for values, bad in fidelity._stack_values(geometries, cfg.resolution):
-            flags = [";".join(compress(fidelity._FLAG_NAMES, f)) for f in bad.T.tolist()]
-            yield from zip(*values[_COLUMN_ROWS].tolist(), flags)
+        for values, names in fidelity._stack_values(geometries, cfg.resolution):
+            yield from zip(*values[:-1].tolist(), map(";".join, names))
 
 
 def sweep_rows(cfg: SweepConfig) -> list[dict]:

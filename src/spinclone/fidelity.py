@@ -37,9 +37,11 @@ for bit, the ones a clone keeps.  ``_stack_values`` splits a list of
 geometries into stacks of at most ``STACK_NODES`` node evaluations (a whole
 sweep row at the default resolution, one geometry at resolution 64) and
 gives each stack's values as arrays, one row per report field, one column
-per geometry.  :func:`fidelity_reports` builds its reports from those
-columns, the command-line sweep renders its rows from them with no report
-per geometry, and :func:`fidelity_report` is the call on a single geometry.
+per geometry, with the names of the closed forms flagged at each geometry.
+:func:`fidelity_reports` builds its reports from those columns, the
+command-line sweep prints all of them but the last, ``f_b_quad``, as its
+rows, with no report per geometry, and :func:`fidelity_report` is the call
+on a single geometry.
 """
 
 from __future__ import annotations
@@ -201,7 +203,10 @@ class FidelityReport:
     The averaged entries (``*_quad``) are authoritative: ``f_a_quad`` and
     ``f_b_quad`` are read off the clone isometry, exact at every resolution.
     ``discrepancies`` names every closed form that differs from its averaged
-    counterpart by more than the flag tolerance.
+    counterpart by more than the flag tolerance.  The field order is the
+    column order of ``spinclone sweep``: its columns are the first 13
+    fields, then the flags; ``f_b_quad``, which the sweep leaves out, comes
+    last before ``discrepancies``.
     """
 
     alpha: float
@@ -211,13 +216,13 @@ class FidelityReport:
     epsilon: float
     f_av_quad: float
     f_av_closed: float
+    f_m_quad: float
     f_a_quad: float
     f_a_closed: float
-    f_b_quad: float
     f_b_closed: float
-    f_m_quad: float
     f_ma_closed: float
     f_mb_closed: float
+    f_b_quad: float
     discrepancies: tuple[str, ...]
 
 
@@ -250,13 +255,13 @@ def _stack_averages(geometries, resolution: int) -> np.ndarray:
 
 
 def _stack_values(geometries, resolution: int):
-    """Values and discrepancy mask of each stack of ``geometries``, in order.
+    """Values and flag names of each stack of ``geometries``, in order.
 
     Each stack holds at most ``STACK_NODES`` node evaluations, and at least
     one geometry.  Its values have one row per :class:`FidelityReport`
     field but ``discrepancies``, in field order, and one column per
-    geometry; its mask has one row per ``_FLAG_NAMES`` entry, True where
-    that closed form is flagged.
+    geometry; its flag names are one tuple of ``_FLAG_NAMES`` entries per
+    geometry, the closed forms flagged there.
     """
     geometries = list(geometries)
     size = max(1, STACK_NODES // len(_grid_data(resolution)[1]))
@@ -268,14 +273,15 @@ def _stack_values(geometries, resolution: int):
         # Rows f_av, f_a, f_b of both; a comparison with nan is False, hence isfinite
         bad = ~np.isfinite(closed[:3]) | (np.abs(closed[:3] - quad[:3]) > DISCREPANCY_TOL)
         (av_q, a_q, b_q, m_q), (av_c, a_c, b_c, ma_c, mb_c) = quad, closed
-        yield np.array([*params, av_q, av_c, a_q, a_c, b_q, b_c, m_q, ma_c, mb_c]), bad
+        values = np.array([*params, av_q, av_c, m_q, a_q, a_c, b_c, ma_c, mb_c, b_q])
+        yield values, [tuple(compress(_FLAG_NAMES, flags)) for flags in bad.T.tolist()]
 
 
 def fidelity_reports(geometries, resolution: int = DEFAULT_RESOLUTION) -> list[FidelityReport]:
     """:func:`fidelity_report` of each geometry, read off the stacks of ``_stack_values``."""
-    return [FidelityReport(*row, tuple(compress(_FLAG_NAMES, flags)))
-            for values, bad in _stack_values(geometries, resolution)
-            for row, flags in zip(values.T.tolist(), bad.T.tolist())]
+    return [FidelityReport(*row, flagged)
+            for values, names in _stack_values(geometries, resolution)
+            for row, flagged in zip(values.T.tolist(), names)]
 
 
 def fidelity_report(

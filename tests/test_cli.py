@@ -242,6 +242,13 @@ def test_sweep_columns_are_report_fields():
     assert SWEEP_COLUMNS[-1] == "discrepancy_flags"
 
 
+def test_sweep_columns_are_the_leading_report_fields_in_order():
+    # The sweep prints each stack's value rows as they come, less the last
+    fields = [f.name for f in dataclasses.fields(fidelity_module.FidelityReport)]
+    assert list(SWEEP_COLUMNS[:-1]) == fields[:13]
+    assert fields[13:] == ["f_b_quad", "discrepancies"]
+
+
 def test_sweep_csv_and_json_hold_the_same_rows(capsys, tmp_path):
     paths = {}
     for fmt in ("csv", "json"):
@@ -289,6 +296,36 @@ def test_sweep_rejects_invalid_range(capsys, tmp_path):
     ])
     assert code == 2
     assert "eta" in err
+
+
+@pytest.mark.parametrize("eta_min,eta_max", [(0.0, math.pi + 1e-10), (-1e-10, math.pi)])
+def test_sweep_eta_range_admits_a_decade_inside_its_tolerance(eta_min, eta_max):
+    # Only acceptance: how an eta just outside [0, pi] folds is still open
+    cfg = cli_module.SweepConfig(2, 3, eta_min, eta_max, "max", 2, "-", "csv")
+    assert len(cli_module.sweep_rows(cfg)) == 6
+
+
+@pytest.mark.parametrize("eta_min,eta_max", [(0.0, math.pi + 1e-8), (-1e-8, math.pi)])
+def test_sweep_eta_range_refuses_a_decade_outside_its_tolerance(eta_min, eta_max):
+    cfg = cli_module.SweepConfig(2, 3, eta_min, eta_max, "max", 2, "-", "csv")
+    with pytest.raises(ValueError, match="eta range"):
+        cli_module.sweep_rows(cfg)
+
+
+@pytest.mark.parametrize("degrees,code", [("180", 0), ("181", 2)])
+def test_sweep_eta_max_in_degrees_stops_at_180(capsys, tmp_path, degrees, code):
+    out = tmp_path / "x.csv"
+    got, _, err = run(capsys, ["sweep", "--alpha-steps", "2", "--eta-steps", "3",
+                               "--eta-max", degrees, "--degrees", "--out", str(out)])
+    assert got == code
+    assert ("eta range" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("steps", [(1, 3), (3, 1)])
+def test_sweep_rows_refuse_fewer_than_two_steps(steps):
+    cfg = cli_module.SweepConfig(*steps, 0.0, math.pi, "max", 2, "-", "csv")
+    with pytest.raises(ValueError, match="alpha-steps and eta-steps must both be >= 2"):
+        cli_module.sweep_rows(cfg)
 
 
 def test_sweep_rejects_unwritable_path(capsys):
@@ -594,6 +631,21 @@ def test_non_finite_flag_is_usage_error(capsys, argv, flag, value):
     err = capsys.readouterr().err
     assert f"argument {flag}" in err
     assert "finite" in err
+
+
+def test_numeric_flag_that_is_not_a_number_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["clone", "--alpha", "abc", "--eta", "1.0"])
+    assert excinfo.value.code == 2
+    assert "argument --alpha: expected a number, got 'abc'" in capsys.readouterr().err
+
+
+def test_size_flag_that_is_not_an_integer_is_usage_error(capsys):
+    # Refused, not truncated to 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--alpha-steps", "2.5", "--out", "-"])
+    assert excinfo.value.code == 2
+    assert "argument --alpha-steps: expected an integer, got '2.5'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from spinclone import (
     universal_baseline,
 )
 import spinclone.fidelity as fidelity_module
+from spinclone.cli import SweepConfig, sweep_rows
 from spinclone.cloner import product_basis
 from spinclone import build_povm, joint_distribution, clone_unitary
 
@@ -38,6 +39,18 @@ B_HAT = np.array([1.0, 0.0, 0.0])
 
 def derived_geometry():
     return build_geometry(A_HAT, B_HAT, 0.6, 0.8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fidelity_report(derived_geometry(), 0),
+    lambda: fidelity_reports([derived_geometry()], 0),
+    lambda: sphere_grid(0),
+    lambda: sweep_rows(SweepConfig(2, 2, 0.0, np.pi, "max", 0, "-", "csv")),
+], ids=["fidelity_report", "fidelity_reports", "sphere_grid", "sweep_rows"])
+def test_resolution_below_one_is_refused_naming_it(call):
+    # The one resolution guard, in _grid_data; numpy's own error would not name it
+    with pytest.raises(ValueError, match=r"^resolution must be >= 1, got 0$"):
+        call()
 
 
 def rotation_matrix(axis, angle):

@@ -180,6 +180,17 @@ def test_validators_reject_non_real_dtypes(bad):
             validate(bad)
 
 
+@pytest.mark.parametrize("validate,bad,message", [
+    (as_unit_vector, [0.0, 1.0], "expected a 3-vector, got shape (2,)"),
+    (as_state, [1.0, 0.0, 0.0], "expected a state of dimension 2, got shape (3,)"),
+    (as_density, np.eye(3) / 3, "expected a 2x2 operator, got shape (3, 3)"),
+], ids=["vector", "state", "density"])
+def test_validators_reject_the_wrong_shape_naming_it(validate, bad, message):
+    # Each input is otherwise valid: a unit vector, a normalized state, a density
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate(bad)
+
+
 # ----------------------------------------------------------------------
 # closed forms against the general numpy formulas they replace
 

@@ -61,6 +61,10 @@ CATALOGUE = (
      "r[1][0] + r[3][2], r[1][1] + r[3][3]", "r[1][0] + r[3][1], r[1][1] + r[3][3]"),
     ("born-y-flipped", "linalg.py",
      "return (r01 + r10).real, (r10 - r01).imag", "return (r01 + r10).real, (r01 - r10).imag"),
+    ("vector-shape-guard-ndim", "linalg.py", "if x.shape != (3,):", "if x.ndim != 1:"),
+    ("state-shape-guard-ndim", "linalg.py", "if psi.shape != (dim,):", "if psi.ndim != 1:"),
+    ("density-shape-guard-ndim", "linalg.py",
+     "if rho.shape != (dim, dim):", "if rho.ndim != 2:"),
     # The measurement
     ("born-axis-sign", "measurement.py",
      "(trace + _dot(n, c))", "(trace - _dot(n, c))"),
@@ -95,6 +99,7 @@ CATALOGUE = (
     ("trace-line-subscripts-swapped", "fidelity.py",
      '("gaba->gb", "gabb->ga")', '("gabb->ga", "gaba->gb")'),
     ("phi-nodes-halved", "fidelity.py", "n_phi = 2 * resolution", "n_phi = resolution"),
+    ("grid-resolution-guard-0", "fidelity.py", "if resolution < 1:", "if resolution < 0:"),
     ("singular-flag-dropped", "fidelity.py",
      "bad = ~np.isfinite(closed[:3]) | (", "bad = ("),
     ("discrepancy-tol-inf", "fidelity.py",
@@ -107,13 +112,18 @@ CATALOGUE = (
     ("sweep-steps-bound-40", "cli.py", "MAX_SWEEP_STEPS = 201", "MAX_SWEEP_STEPS = 40"),
     ("quad-res-bound-32", "cli.py", "MAX_QUAD_RES = 256", "MAX_QUAD_RES = 32"),
     ("csv-16-digits", "cli.py", '_CSV_ROW = "%.17g,"', '_CSV_ROW = "%.16g,"'),
-    ("sweep-column-index-swapped", "cli.py",
-     "_COLUMN_ROWS = [_report_names.index(c) for c in SWEEP_COLUMNS[:-1]]",
-     "_COLUMN_ROWS = [_report_names.index(c) for c in SWEEP_COLUMNS[:-1]]\n"
-     "_COLUMN_ROWS[8], _COLUMN_ROWS[9] = _COLUMN_ROWS[9], _COLUMN_ROWS[8]"),
-    ("sweep-flags-dropped", "cli.py",
-     "zip(*values[_COLUMN_ROWS].tolist(), flags)",
-     "zip(*values[_COLUMN_ROWS].tolist(), [''] * len(flags))"),
+    ("sweep-column-index-swapped", "fidelity.py",
+     "av_q, av_c, m_q, a_q, a_c, b_c", "av_q, av_c, m_q, a_c, a_q, b_c"),
+    ("sweep-flags-dropped", "cli.py", 'map(";".join, names)', '("" for _ in names)'),
+    ("sweep-eta-range-widened", "cli.py",
+     "-1e-9 <= self.eta_min <= self.eta_max <= math.pi + 1e-9",
+     "-1.0 <= self.eta_min <= self.eta_max <= math.pi + 1.0"),
+    ("sweep-steps-guard-1", "cli.py",
+     "if self.alpha_steps < 2 or self.eta_steps < 2:",
+     "if self.alpha_steps < 1 or self.eta_steps < 1:"),
+    ("number-flag-catches-type-error", "cli.py",
+     "value = float(text)\n    except ValueError:", "value = float(text)\n    except TypeError:"),
+    ("integer-flag-truncates", "cli.py", "value = int(text)", "value = int(float(text))"),
     ("check-closed-forms-drop-f-a", "cli.py",
      "abs(report.f_a_quad - report.f_a_closed)", "0.0"),
 )
