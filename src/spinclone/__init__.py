@@ -50,6 +50,7 @@ from .cloner import (
 from .fidelity import (
     FidelityReport,
     f_av_closed,
+    f_m_closed,
     f_mixed_closed,
     f_single_closed,
     fidelity_report,

@@ -18,15 +18,21 @@ and the conjugated product basis P^dag.  The first clone on a geometry
 builds both and keeps them on it read-only, so cloning many states with one
 geometry builds the machine once.  The sphere averages of
 :mod:`spinclone.fidelity` build the machines of a whole stack of geometries
-in one call and keep none; a machine's bits do not depend on its stack, so
-they equal the kept ones.  A build is a scalar table per geometry (the frame
+in one call and keep none.  A build is a scalar table per geometry (the frame
 map, the in-plane projections, the dilation factors and the eigenstate
 amplitudes of a and b) followed by one array step over the stack; a clone's
-build is a stack of one.  That step, :func:`_dilations`, is the one place the
-machine is written: it maps the real canonical-frame dilation vectors vec_k
-and products prod_k once by W = V (x) V, checks the Gram matrix of the
-W vec_k, and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  K is U (1 (x) |b+>),
-and P^dag comes from the eigenstate amplitudes of a and b.  The public
+build is a stack of one, and a machine's bits do not depend on its stack.
+That step, :func:`_dilations`, is the one place the complex machine is
+written: it maps the real canonical-frame dilation vectors vec_k and
+products prod_k once by W = V (x) V, checks the Gram matrix of the W vec_k,
+and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  K is U (1 (x) |b+>), and
+P^dag comes from the eigenstate amplitudes of a and b.  A stack whose every
+geometry lies in the canonical frame itself (a = z, b in the x-z plane with
+b_x >= +0.0, as in every sweep) needs neither W nor U: there K and P^dag are
+real, and :func:`_canonical_machines` reads them off the factor table as
+arrays over the whole stack, within 1e-15 of the kept ones.  The table's
+layout is written once, in :func:`_real_row`, for a geometry's floats and a
+stack's arrays alike.  The public
 :func:`clone_unitary` returns that U and :func:`naimark_basis` re-phases the
 same W vec_k; they and :func:`product_basis` build fresh arrays on every
 call and are not on the clone path.  A clone reads its reduced states and
@@ -91,6 +97,13 @@ class OrthonormalityFailure(RuntimeError):
     This signals a broken phase or frame convention inside the package,
     not a user error.
     """
+
+    def __init__(self, residual: float):
+        self.residual = float(residual)
+        super().__init__(
+            f"dilation basis Gram residual {residual:.3e} exceeds {ORTHONORMALITY_TOL:.0e}; "
+            "phase or frame convention is broken"
+        )
 
 
 @dataclass(frozen=True)
@@ -173,36 +186,47 @@ def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
     return list(_products(pairs[0], pairs[1]))
 
 
+def _real_row(sp, sq, m_pair, l_pair, b_pair, cos_e, sin_e) -> list:
+    """The 20 canonical-frame reals of a machine: its 16 dilation factors, then b+ and b-.
+
+    The factors are a ``(4, 2, 2)`` table: factors[k][i][j] is amplitude i of
+    the first-qubit factor of vector k that pairs with |b+> (j = 0) or |b->
+    (j = 1), in outcome order.  With |b+> come the m eigenstates and the l
+    eigenstates on the antipodal branch; with |b-> come a+, a- (the unit
+    vectors, a lying along z) and their turns by e.  The inputs are sqrt(p),
+    sqrt(1-p), the in-plane pairs of m, l and b, cos(e) and sin(e), all floats
+    or all arrays of one shape; only +, - and * act on them, so a geometry's
+    row and a stack's rows have one layout.
+    """
+    ((mp0, mp1), (mm0, mm1)), ((lp0, lp1), (lm0, lm1)), (b_plus, b_minus) = m_pair, l_pair, b_pair
+    zero = 0.0 * sq  # 0.0 for a float, zeros for an array
+    return [sp * mp0, sq, sp * mp1, zero,
+            -sq * lp0, -sp * cos_e, -sq * lp1, -sp * sin_e,
+            -sq * lm0, sp * sin_e, -sq * lm1, -sp * cos_e,
+            sp * mm0, zero, sp * mm1, sq, *b_plus, *b_minus]
+
+
 def _machine_table(g: MeasurementGeometry) -> tuple[list[float], list[complex]]:
     """The scalar, per-geometry part of a machine build, as one real and one complex row.
 
-    Both rows are 2x2 blocks laid end to end.  The 20 reals are the 16
-    canonical-frame factors, in the order of the ``(4, 2, 2)`` table below,
-    then b+ and b- in the canonical x-z plane.  The 12 complex entries are V
-    row by row, then the package amplitudes of (a+, a-) and of (b+, b-).
+    Both rows are 2x2 blocks laid end to end.  The 20 reals are
+    :func:`_real_row`'s.  The 12 complex entries are V row by row, then the
+    package amplitudes of (a+, a-) and of (b+, b-).
     """
     a, b = g.a.tolist(), g.b.tolist()
     e1, v, a_pair = _frame_map(a, b)
     # Signed polar angle in the canonical x-z plane; +0.0 keeps atan2 off the
     # negative branch when the x component underflows to -0.0
-    t_m, t_l, t_b = (math.atan2(_dot(n, e1) + 0.0, _dot(n, a))
-                     for n in (g.m.tolist(), g.l.tolist(), b))
+    t_m, t_l, t_b = [math.atan2(_dot(n, e1) + 0.0, _dot(n, a))
+                     for n in (g.m.tolist(), g.l.tolist(), b)]
     # e = pi - (t_m - t_l)/2, so (-cos(e), sin(e)) is the in-plane plus at t_m - t_l
     (cos_half, sin_e), _ = _inplane_pair(t_m - t_l)
     cos_e = -cos_half
     # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry
     p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p
     sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    ((mp0, mp1), (mm0, mm1)), ((lp0, lp1), (lm0, lm1)), (b_plus, b_minus) = map(
-        _inplane_pair, (t_m, t_l, t_b))
-    # factors[k][i][j]: amplitude i of the first-qubit factor of vector k that
-    # pairs with |b+> (j = 0) or |b-> (j = 1), in outcome order.  With |b+> come
-    # the m eigenstates and the l eigenstates on the antipodal branch; with |b->
-    # come a+, a- (the unit vectors, a lying along z) and their turns by e.
-    reals = [sp * mp0, sq, sp * mp1, 0.0,
-             -sq * lp0, -sp * cos_e, -sq * lp1, -sp * sin_e,
-             -sq * lm0, sp * sin_e, -sq * lm1, -sp * cos_e,
-             sp * mm0, 0.0, sp * mm1, sq, *b_plus, *b_minus]
+    m_pair, l_pair, b_plane = map(_inplane_pair, (t_m, t_l, t_b))
+    reals = _real_row(sp, sq, m_pair, l_pair, b_plane, cos_e, sin_e)
     b_pair = _spin_amplitudes(b)
     return reals, [*v, *a_pair[0], *a_pair[1], *b_pair[0], *b_pair[1]]
 
@@ -237,10 +261,7 @@ def _dilations(geometries) -> tuple[np.ndarray, ...]:
     gram -= _IDENTITY_4
     residual = float(np.abs(gram).max())
     if not residual <= ORTHONORMALITY_TOL:
-        raise OrthonormalityFailure(
-            f"dilation basis Gram residual {residual:.3e} exceeds {ORTHONORMALITY_TOL:.0e}; "
-            "phase or frame convention is broken"
-        )
+        raise OrthonormalityFailure(residual)
     u = (targets * _CLONE_SIGNS) @ mapped.conj().mT
     return u, mapped, targets, kron[:, 1], blocks[:, 2, 0]
 
@@ -271,6 +292,53 @@ def _build_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
     u, _, _, products, b_plus = _dilations(geometries)
     k = (u.reshape(-1, 4, 2, 2) @ b_plus[:, None, :, None]).reshape(-1, 4, 2)
     return k, products.conj()
+
+
+def _canonical_machines(alpha, beta, p, b_x, b_z) -> tuple[np.ndarray, np.ndarray]:
+    """K and P^dag, as real arrays, of a stack of canonical geometries, with no unitary.
+
+    A geometry is canonical when a = (0, 0, 1) and b = (b_x, 0, b_z) with
+    b_x >= +0.0.  There V = W = 1 and b's package amplitudes are its real
+    in-plane pair, so P^dag = a+- (x) b+- is real.  The p-clamps, angles and
+    rows are :func:`_machine_table`'s, as arrays: m and l point along
+    alpha a +- beta b, l is aliased to m where p is 1, as build_geometry
+    aliases it, and where p is 0 every m term carries sqrt(p) = 0.  Since
+    vec_k = sum_j factors[k][:, j] (x) b_j, the Gram matrix of the vec_k is
+    F F^T, F the factor tables flattened per k, and U (1 (x) |b+>) keeps the
+    b+ column alone: K = sum_k s_k |prod_k><f_k+|, f_k+ = factors[k][:, 0].
+    Raises :class:`OrthonormalityFailure` as :func:`_dilations` does.
+    """
+    p = np.where(p < DEGENERATE_TOL, 0.0, np.where(1.0 - p < DEGENERATE_TOL, 1.0, p))
+    # Signed polar angles; +0.0 keeps atan2 off the negative branch at -0.0
+    t_m = np.arctan2(beta * b_x + 0.0, alpha + beta * b_z)
+    t_l = np.where(p == 1.0, t_m, np.arctan2(-beta * b_x + 0.0, alpha - beta * b_z))
+    (cos_half, sin_e), _ = _inplane_pair(t_m - t_l)
+    rows = _real_row(np.sqrt(p), np.sqrt(1.0 - p),
+                     *map(_inplane_pair, (t_m, t_l, np.arctan2(b_x, b_z))), -cos_half, sin_e)
+    blocks = np.array(rows).T.reshape(-1, 5, 2, 2)
+    factors = blocks[:, :4].reshape(-1, 4, 4)
+    residual = float(np.abs(factors @ factors.mT - _IDENTITY_4.real).max())
+    if not residual <= ORTHONORMALITY_TOL:
+        raise OrthonormalityFailure(residual)
+    prods = _products(_A_PAIR, blocks[:, 4])
+    return (prods.mT * _CLONE_SIGNS) @ blocks[:, :4, :, 0], prods
+
+
+def _stack_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
+    """K and P^dag of a stack for the sphere averages, keeping none on the geometries.
+
+    A stack whose every geometry is canonical (see :func:`_canonical_machines`)
+    is evaluated there, as real arrays within 1e-15 of :func:`_build_machines`;
+    any other stack is built by :func:`_build_machines`, bit for bit.
+    """
+    rows = [(g.alpha, g.beta, g.p, *g.a.tolist(), *g.b.tolist()) for g in geometries]
+    alpha, beta, p, a_x, a_y, a_z, b_x, b_y, b_z = np.fromiter(
+        chain.from_iterable(rows), float, 9 * len(rows)).reshape(-1, 9).T
+    # A -0.0 in b_x turns b's azimuth, and with it the frame, by pi
+    canonical = (a_x == 0.0) & (a_y == 0.0) & (a_z == 1.0) & (b_y == 0.0) & ~np.signbit(b_x)
+    if canonical.all():
+        return _canonical_machines(alpha, beta, p, b_x, b_z)
+    return _build_machines(geometries)
 
 
 def _kept(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:

@@ -29,13 +29,31 @@ function and default to 64.  These averages are the ground truth.  Closed
 forms are evaluated verbatim and compared against them; disagreements are
 reported in :class:`FidelityReport.discrepancies`, not silently corrected.
 
+F_m also has a closed form, :func:`f_m_closed`; no report field holds it and
+no flag compares it.  For qubit projectors A, B, C on Bloch vectors a, b, c,
+the third moment int |psi><psi|^(x)3 dpsi = P_sym/4 gives
+
+    int <psi|A|psi><psi|B|psi><psi|C|psi> dpsi = (3 + a.b + a.c + b.c)/24,
+
+since tr((A (x) B (x) C) P_sym) is the mean over the six permutations and
+tr(ABC) + tr(ACB) = (1 + a.b + a.c + b.c)/2.  Measure-and-prepare answers
+outcome k, of POVM element w_k (1 + n_k.sigma)/2, with the product of the
+a_k and b_k eigenstates, so F_m = sum_k w_k (3 + n_k.a_k + n_k.b_k + a_k.b_k)/24
+over (w_k, n_k, a_k, b_k) = (p, +-m, +-a, +-b) and (1-p, +-l, +-a, -+b).  With
+2p m = alpha a + beta b and 2(1-p) l = alpha a - beta b the four terms sum to
+
+    F_m = 1/4 + (alpha + beta)/12 + (2p - 1) cos(eta)/12.
+
 One kernel evaluates a stack of geometries as a single array program: the
 cloner builds K and P^dag for the whole stack in one call, and the averages,
 closed forms and discrepancy flags are computed for the whole stack at once.
-A stack keeps no machine on its geometries; the machines it builds equal, bit
-for bit, the ones a clone keeps.  ``_stack_values`` splits a list of
-geometries into stacks of at most ``STACK_NODES`` node evaluations (a whole
-sweep row at the default resolution, one geometry at resolution 64) and
+A stack keeps no machine on its geometries.  The machines it builds equal,
+bit for bit, the ones a clone keeps, except on a stack whose every geometry
+lies in the canonical frame (a = z, b in the x-z plane, as in every sweep):
+the cloner reads those off real arrays, within 1e-15 of the kept ones.
+``_stack_values`` splits a list of geometries into stacks of at most
+``STACK_NODES`` node evaluations (a whole sweep row at the default
+resolution, one geometry at resolution 64) and
 gives each stack's values as arrays, one row per report field, one column
 per geometry, with the names of the closed forms flagged at each geometry.
 :func:`fidelity_reports` builds its reports from those columns, the
@@ -127,7 +145,7 @@ def mixed_fidelity(psi, rho12) -> float:
 
 
 def _closed_forms(alpha, beta, eta, p) -> np.ndarray:
-    """Closed forms (F_av, F_a, F_b, F_ma, F_mb) over arrays of the geometry parameters.
+    """Closed forms (F_av, F_a, F_b, F_ma, F_mb, F_m) over arrays of the geometry parameters.
 
     Evaluated verbatim, one row per closed form; F_av and F_a are singular
     (nan) where the m-axis weight p vanishes.
@@ -135,6 +153,7 @@ def _closed_forms(alpha, beta, eta, p) -> np.ndarray:
     root_a = np.sqrt(np.maximum(1.0 - alpha * alpha, 0.0))
     root_b = np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
     cos, sin = np.cos(eta), np.sin(eta)
+    f_m = 0.25 + (alpha + beta) / 12.0 + (2.0 * p - 1.0) * cos / 12.0
     p = np.where(p > 0.0, p, np.nan)  # a nan p carries into both singular forms
     # The term F_av and F_a share, over 24p and over 12p
     shared = alpha * root_b + beta * root_b * cos + beta * root_a * sin
@@ -149,11 +168,11 @@ def _closed_forms(alpha, beta, eta, p) -> np.ndarray:
     )
     f_a = 0.5 + alpha / 6.0 + root_b / 6.0 + shared / (12.0 * p)
     f_b = 0.5 + beta / 6.0
-    return np.array([f_av, f_a, f_b, 0.5 + alpha / 6.0, f_b])
+    return np.array([f_av, f_a, f_b, 0.5 + alpha / 6.0, f_b, f_m])
 
 
 def _closed_of(g: MeasurementGeometry) -> list[float]:
-    """The five closed forms of :func:`_closed_forms` for one geometry."""
+    """The six closed forms of :func:`_closed_forms` for one geometry."""
     return _closed_forms(g.alpha, g.beta, g.eta, g.p).tolist()
 
 
@@ -178,8 +197,17 @@ def f_mixed_closed(g: MeasurementGeometry) -> tuple[float, float]:
     does not, since the coherent cloner keeps extra information about the
     original in its first output.
     """
-    f_ma, f_mb = _closed_of(g)[3:]
+    f_ma, f_mb = _closed_of(g)[3:5]
     return f_ma, f_mb
+
+
+def f_m_closed(g: MeasurementGeometry) -> float:
+    """Closed form for the average two-copy fidelity of measure-and-prepare.
+
+    F_m = 1/4 + (alpha + beta)/12 + (2p - 1) cos(eta)/12, derived in the
+    module docstring; finite at every p, including the corners p = 0 and 1.
+    """
+    return _closed_of(g)[5]
 
 
 def universal_baseline() -> tuple[float, tuple[float, float]]:
@@ -237,7 +265,7 @@ STACK_NODES = 8192
 def _stack_averages(geometries, resolution: int) -> np.ndarray:
     """Sphere averages (F_av, F_a, F_b, F_m) of a stack of N geometries, shape (4, N)."""
     states, weights, pair_conj = _grid_data(resolution)
-    k, p_dag = cloner._build_machines(geometries)
+    k, p_dag = cloner._stack_machines(geometries)
     p_adj = p_dag.transpose(0, 2, 1)
     outputs = states @ k.transpose(0, 2, 1)  # (N, nodes, 4): K psi at each node
 
@@ -272,7 +300,7 @@ def _stack_values(geometries, resolution: int):
         closed = _closed_forms(*params[:4])
         # Rows f_av, f_a, f_b of both; a comparison with nan is False, hence isfinite
         bad = ~np.isfinite(closed[:3]) | (np.abs(closed[:3] - quad[:3]) > DISCREPANCY_TOL)
-        (av_q, a_q, b_q, m_q), (av_c, a_c, b_c, ma_c, mb_c) = quad, closed
+        (av_q, a_q, b_q, m_q), (av_c, a_c, b_c, ma_c, mb_c, _) = quad, closed
         values = np.array([*params, av_q, av_c, m_q, a_q, a_c, b_c, ma_c, mb_c, b_q])
         yield values, [tuple(compress(_FLAG_NAMES, flags)) for flags in bad.T.tolist()]
 

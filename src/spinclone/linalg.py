@@ -131,14 +131,19 @@ def spin_eigenstates(n) -> tuple[np.ndarray, np.ndarray]:
     return np.array(plus), np.array(minus)
 
 
-def _inplane_pair(t: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Amplitudes of the (+1, -1) eigenstates of n.sigma for n = (sin t, 0, cos t), as floats.
+def _inplane_pair(t) -> tuple[tuple, tuple]:
+    """Amplitudes of the (+1, -1) eigenstates of n.sigma for n = (sin t, 0, cos t).
 
     The package convention at azimuth 0, for a signed polar angle t; for t
     in [0, pi] or -0.0 it matches spin_eigenstates down to the sign of a
-    zero.  Every scalar cos or sin of a half angle in the package is taken here.
+    zero.  A float t gives floats, by :mod:`math`; an array of angles gives
+    arrays of amplitudes, by numpy.  Every cos or sin of a half angle in the
+    package is taken here.
     """
-    c, s = math.cos(t / 2), math.sin(t / 2)
+    if isinstance(t, float):
+        c, s = math.cos(t / 2), math.sin(t / 2)
+    else:
+        c, s = np.cos(t / 2), np.sin(t / 2)
     return (c, s), (-s, c)
 
 

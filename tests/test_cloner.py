@@ -636,3 +636,109 @@ def test_orthonormality_guard_threshold(monkeypatch, gram, accepted):
         residual = float(re.search(r"Gram residual (\S+) exceeds", str(excinfo.value)).group(1))
         assert residual == pytest.approx(np.sqrt(2.0) * eps + eps * eps, rel=1e-3)
         assert "_clone_machine" not in g.__dict__
+
+
+# ----------------------------------------------------------------------
+# the real evaluator of canonical stacks
+
+
+def canonical_geometries():
+    """The default sweep grid, and canonical corners: eta = 0 and pi, p = 0 and p = 1
+    (alpha = 1 at eta = 0 and at eta = pi), and parallel and antiparallel axes given
+    as vectors, with every zero of b unsigned."""
+    for alpha in np.linspace(0.0, 1.0, 41):
+        for eta in np.linspace(0.0, np.pi, 41):
+            yield geometry_from_angles(alpha, beta_max(alpha, eta), eta)
+    for alpha in (0.0, 0.3, 1.0 - 1e-9, 1.0):
+        for eta in (0.0, np.pi):
+            yield geometry_from_angles(alpha, beta_max(alpha, eta), eta)
+    for alpha in (0.0, 0.4, 1.0):
+        for b in (A_HAT, np.array([0.0, 0.0, -1.0])):
+            yield build_geometry(A_HAT, b, alpha, 1.0)
+
+
+def test_canonical_stack_matches_build_and_unitary():
+    # The real evaluator writes no unitary: its K is checked against the complex
+    # build of the same stack and against U of clone_unitary on |psi>|b+>.
+    geometries = list(canonical_geometries())
+    assert {0.0, 1.0} <= {g.p for g in geometries}
+    assert any(g.alpha == 1.0 and g.eta == np.pi for g in geometries)
+    k, p_dag = cloner_module._stack_machines(geometries)
+    assert k.dtype == p_dag.dtype == np.float64
+    k_built, p_built = cloner_module._build_machines(geometries)
+    assert np.max(np.abs(k - k_built)) <= 1e-15
+    assert np.max(np.abs(p_dag - p_built)) <= 1e-15
+    for g, k1 in zip(geometries, k):
+        b_plus = spin_eigenstates(g.b)[0]
+        assert np.max(np.abs(k1 - clone_unitary(g).reshape(4, 2, 2) @ b_plus)) <= 1e-15
+
+
+def off_canonical_stacks(rng):
+    """Stacks the real evaluator must not take: random frames, b_x < 0 (eta = -1e-10,
+    where chi = pi), b_x = -0.0 (b = -a negated whole), and a canonical row plus one
+    random frame."""
+    row = [geometry_from_angles(alpha, beta_max(alpha, 1.0), 1.0)
+           for alpha in np.linspace(0.0, 1.0, 9)]
+    yield "random", [random_geometry(rng) for _ in range(20)]
+    yield "eta -1e-10", [geometry_from_angles(alpha, beta_max(alpha, -1e-10), -1e-10)
+                         for alpha in (0.0, 0.3, 1.0)]
+    yield "b_x -0.0", [build_geometry(A_HAT, -A_HAT, alpha, 1.0) for alpha in (0.0, 1.0)]
+    yield "mixed", [*row, random_geometry(rng)]
+
+
+def test_off_canonical_stacks_are_built_bit_for_bit(rng):
+    for name, stack in off_canonical_stacks(rng):
+        k, p_dag = cloner_module._stack_machines(stack)
+        k_built, p_built = cloner_module._build_machines(stack)
+        assert k.dtype == k_built.dtype and p_dag.dtype == p_built.dtype, name
+        assert k.tobytes() == k_built.tobytes() and p_dag.tobytes() == p_built.tobytes(), name
+
+
+@pytest.mark.parametrize("gram,accepted", [(1e-11, True), (1e-9, False)])
+def test_canonical_orthonormality_guard_threshold(monkeypatch, gram, accepted):
+    # The real evaluator's Gram check, at ORTHONORMALITY_TOL = 1e-10: as in the
+    # complex build, eps on the sqrt(1 - p) factor of the first dilation vector at
+    # p = 1/2 gives a Gram residual of sqrt(2) eps + eps^2.
+    original = cloner_module._real_row
+    eps = gram / np.sqrt(2.0)
+
+    def perturbed(*args):
+        reals = original(*args)
+        reals[1] = reals[1] + eps
+        return reals
+
+    alpha = np.sqrt(0.5)
+    g = geometry_from_angles(alpha, beta_max(alpha, np.pi / 2), np.pi / 2)
+    assert g.p == pytest.approx(0.5, abs=1e-15)
+    monkeypatch.setattr(cloner_module, "_real_row", perturbed)
+    if accepted:
+        k, _ = cloner_module._stack_machines([g])
+        assert k.dtype == np.float64
+    else:
+        with pytest.raises(OrthonormalityFailure) as excinfo:
+            cloner_module._stack_machines([g])
+        assert excinfo.value.residual == pytest.approx(np.sqrt(2.0) * eps + eps * eps, rel=1e-3)
+        residual = float(re.search(r"Gram residual (\S+) exceeds", str(excinfo.value)).group(1))
+        assert residual == pytest.approx(excinfo.value.residual, rel=1e-3)
+
+
+def test_failed_canonical_stack_keeps_nothing(monkeypatch):
+    # A sign broken in the real evaluator's factor table trips its own Gram
+    # check: the canonical stack never reaches the complex build, and nothing is kept.
+    original = cloner_module._real_row
+
+    def corrupted(*args):
+        reals = original(*args)
+        reals[4] = -reals[4]
+        return reals
+
+    def unused(geometries):
+        raise AssertionError("a canonical stack must not take the complex build")
+
+    geometries = [geometry_from_angles(alpha, beta_max(alpha, 1.0), 1.0)
+                  for alpha in np.linspace(0.1, 0.9, 5)]
+    monkeypatch.setattr(cloner_module, "_real_row", corrupted)
+    monkeypatch.setattr(cloner_module, "_build_machines", unused)
+    with pytest.raises(OrthonormalityFailure):
+        fidelity_reports(geometries)
+    assert not any("_clone_machine" in g.__dict__ for g in geometries)

@@ -10,6 +10,7 @@ from spinclone import (
     clone_pure,
     density_from_bloch,
     f_av_closed,
+    f_m_closed,
     f_mixed_closed,
     f_single_closed,
     fidelity_report,
@@ -257,6 +258,38 @@ def test_f_mixed_closed_matches_quadrature():
 
     assert sphere_average(reduced_fidelity(1), resolution=24) == pytest.approx(f_ma, abs=1e-9)
     assert sphere_average(reduced_fidelity(2), resolution=24) == pytest.approx(f_mb, abs=1e-9)
+
+
+
+def f_m_geometries(rng):
+    """Random frames, then the p = 1 and p = 0 corners: parallel and antiparallel
+    sharp axes in the canonical and a random frame, and alpha = 1 at eta = 0, pi."""
+    geometries = [random_geometry(rng) for _ in range(200)]
+    for a in (A_HAT, random_unit_vector(rng)):
+        geometries += [build_geometry(a, a, 1.0, 1.0), build_geometry(a, -a, 1.0, 1.0)]
+    geometries += [geometry_from_angles(1.0, beta_max(1.0, eta), eta) for eta in (0.0, np.pi)]
+    return geometries
+
+
+def test_f_m_closed_matches_quadrature(rng):
+    # F_m = 1/4 + (alpha + beta)/12 + (2p - 1) cos(eta)/12 against the node average
+    # of the cloner's incoherent branches, which the default rule takes exactly
+    geometries = f_m_geometries(rng)
+    assert {0.0, 1.0} <= {g.p for g in geometries}
+    corners = geometries[200:]
+    for stack in (geometries, corners, corners[-2:]):  # the last is canonical
+        for g, report in zip(stack, fidelity_reports(stack)):
+            assert abs(f_m_closed(g) - report.f_m_quad) <= 1e-14
+
+
+def test_f_m_closed_matches_measure_and_prepare(rng):
+    # An oracle without the clone isometry: the two-copy fidelity of the product
+    # states measure-and-prepare mixes by Born weights, averaged over the sphere
+    # (degree 3, so exact at resolution 2)
+    for g in f_m_geometries(rng)[::10]:
+        average = sphere_average(lambda psi: mixed_fidelity(psi, measure_and_prepare(g, psi)),
+                                 resolution=2)
+        assert abs(f_m_closed(g) - average) <= 1e-14
 
 
 def test_universal_baseline_values():

@@ -53,6 +53,13 @@ CATALOGUE = (
      "(targets * _CLONE_SIGNS) @ mapped.conj().mT", "(targets * _CLONE_SIGNS) @ mapped.mT"),
     ("naimark-phases-unconjugated", "cloner.py",
      "products.conj(), targets", "products, targets"),
+    ("canonical-k-sign-flipped", "cloner.py",
+     "(prods.mT * _CLONE_SIGNS) @", "(prods.mT * -_CLONE_SIGNS) @"),
+    ("canonical-selection-admits-negative-b-x", "cloner.py",
+     "& ~np.signbit(b_x)", "& (b_x > -1.0)"),
+    ("canonical-gram-tolerance-widened", "cloner.py",
+     "factors @ factors.mT - _IDENTITY_4.real).max())",
+     "factors @ factors.mT - _IDENTITY_4.real).max()) / 100.0"),
     # The qubit formulas
     ("inplane-pair-minus-flipped", "linalg.py",
      "return (c, s), (-s, c)", "return (c, s), (s, -c)"),
@@ -87,7 +94,9 @@ CATALOGUE = (
     ("f-b-closed-coefficient", "fidelity.py",
      "f_b = 0.5 + beta / 6.0", "f_b = 0.5 + beta / 7.0"),
     ("f-ma-closed-coefficient", "fidelity.py",
-     "0.5 + alpha / 6.0, f_b]", "0.5 + alpha / 7.0, f_b]"),
+     "0.5 + alpha / 6.0, f_b, f_m]", "0.5 + alpha / 7.0, f_b, f_m]"),
+    ("f-m-closed-cos-term-sign", "fidelity.py",
+     "(2.0 * p - 1.0) * cos / 12.0", "(1.0 - 2.0 * p) * cos / 12.0"),
     ("closed-forms-shared-term", "fidelity.py",
      "beta * root_a * sin", "beta * root_b * sin"),
     ("universal-baseline-constant", "fidelity.py",
