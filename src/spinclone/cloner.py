@@ -18,27 +18,29 @@ and the conjugated product basis P^dag.  The first clone on a geometry
 builds both and keeps them on it read-only, so cloning many states with one
 geometry builds the machine once.  The sphere averages of
 :mod:`spinclone.fidelity` build the machines of a whole stack of geometries
-in one call and keep none.  A build is a scalar table per geometry (the frame
-map, the in-plane projections, the dilation factors and the eigenstate
-amplitudes of a and b) followed by one array step over the stack; a clone's
-build is a stack of one, and a machine's bits do not depend on its stack.
-That step, :func:`_dilations`, is the one place the complex machine is
-written: it maps the real canonical-frame dilation vectors vec_k and
-products prod_k once by W = V (x) V, checks the Gram matrix of the W vec_k,
-and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  K is U (1 (x) |b+>), and
-P^dag comes from the eigenstate amplitudes of a and b.  A stack whose every
-geometry lies in the canonical frame itself (a = z, b in the x-z plane with
-b_x >= +0.0, as in every sweep) needs neither W nor U: there K and P^dag are
-real, and :func:`_canonical_machines` reads them off the factor table as
-arrays over the whole stack, within 1e-15 of the kept ones.  The table's
-layout is written once, in :func:`_real_row`, for a geometry's floats and a
-stack's arrays alike.  The public
-:func:`clone_unitary` returns that U and :func:`naimark_basis` re-phases the
-same W vec_k; they and :func:`product_basis` build fresh arrays on every
-call and are not on the clone path.  A clone reads its reduced states and
-Bloch vectors off the joint's entries: with J the 2x2 reshape of a pure
-output, rho_a = J J^dag and rho_b = J^T J^*; for a mixed output they are
-linalg's partial traces of K rho K^dag.
+in one call and keep none.  A build reads a scalar table per geometry
+(:func:`_machine_table`: the frame map V, the in-plane projections, the
+dilation factors and the eigenstate amplitudes of a and b), and
+:func:`_machine` forms K and P^dag from it on Python scalars, with no
+unitary: K = (V (x) V) sum_k s_k |prod_k> h_k^T V^dag, where h_k is the
+factor block f_k contracted with the canonical components of V^dag|b+>.
+Its Gram check reads the factor table F F^T and V^dag V.  A stack is built
+one geometry at a time, so a machine's bits do not depend on its stack.  A
+stack whose every geometry lies in the canonical frame itself (a = z, b in
+the x-z plane with b_x >= +0.0, as in every sweep) needs no frame map:
+there K and P^dag are real, and :func:`_canonical_machines` reads them off
+the factor table as arrays over the whole stack, within 1e-15 of the kept
+ones.  The table's layout is written once, in :func:`_real_row`, for a
+geometry's floats and a stack's arrays alike.  The 4x4 unitary is written
+in :func:`_dilations` alone: it maps the real canonical-frame dilation
+vectors vec_k and products prod_k once by W = V (x) V, checks the Gram
+matrix of the W vec_k, and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  The
+public :func:`clone_unitary` returns that U, and :func:`naimark_basis`
+re-phases the same W vec_k; they and :func:`product_basis` build fresh
+arrays on every call and are not on the clone path.  A clone reads its
+reduced states and Bloch vectors off the joint's entries: with J the 2x2
+reshape of a pure output, rho_a = J J^dag and rho_b = J^T J^*; for a mixed
+output they are linalg's partial traces of K rho K^dag.
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -238,10 +240,11 @@ def _dilations(geometries) -> tuple[np.ndarray, ...]:
     dilation vectors vec_k and products prod_k (outcome order) by W = V (x) V,
     and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  Returns U, the mapped
     dilation vectors and products as the columns of ``mapped`` and
-    ``targets``, the package products P = product_basis, each (N, 4, 4), and
-    the package |b+>, (N, 2).  Raises :class:`OrthonormalityFailure` if the
-    Gram matrix of ``mapped`` misses the identity by > ``ORTHONORMALITY_TOL``
-    on any geometry of the stack.
+    ``targets``, and the package products P = product_basis, each (N, 4, 4).
+    Raises :class:`OrthonormalityFailure` if the Gram matrix of ``mapped``
+    misses the identity by > ``ORTHONORMALITY_TOL`` on any geometry of the
+    stack.  It serves :func:`clone_unitary` and :func:`naimark_basis`; the
+    clone path's K is :func:`_machine`'s.
     """
     reals, complexes = zip(*map(_machine_table, geometries))
     n = len(reals)
@@ -263,7 +266,7 @@ def _dilations(geometries) -> tuple[np.ndarray, ...]:
     if not residual <= ORTHONORMALITY_TOL:
         raise OrthonormalityFailure(residual)
     u = (targets * _CLONE_SIGNS) @ mapped.conj().mT
-    return u, mapped, targets, kron[:, 1], blocks[:, 2, 0]
+    return u, mapped, targets, kron[:, 1]
 
 
 def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
@@ -273,7 +276,7 @@ def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
     constructed vectors misses the identity by more than
     ``ORTHONORMALITY_TOL``.
     """
-    _, mapped, targets, products, _ = (x[0] for x in _dilations([g]))
+    _, mapped, targets, products = (x[0] for x in _dilations([g]))
     # Phase of each mapped canonical product state relative to spin_eigenstates;
     # dividing it out keeps the unitary in signed product form in that convention.
     phases = np.einsum("kj,jk->k", products.conj(), targets)
@@ -287,11 +290,80 @@ def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
     return _dilations([g])[0][0]
 
 
+def _machine(g: MeasurementGeometry) -> tuple[list[complex], list[complex]]:
+    """K and P^dag of one geometry, row by row, as Python complex numbers, with no unitary.
+
+    Reads :func:`_machine_table`: the factors f_k, the canonical pair b_c+-, V
+    and the package amplitudes of a and b.  U (1 (x) |b+>) meets |b+> only
+    through vec_k^dag W^dag, and vec_k = sum_j f_k[:, j] (x) b_cj, so with
+    r = V^dag|b+>, q+- = <b_c+-|r> and h_k = q+ f_k[:, 0] + q- f_k[:, 1],
+    K = W sum_k s_k |prod_k> h_k^T V^dag, prod_k = e_i (x) b_cj for k = 2i + j.
+    At V = 1 and q = (1, 0) this is :func:`_canonical_machines`' K_c.  The
+    Gram matrix of the W vec_k is F F^T, F the factor table flattened per k,
+    and W is unitary when V is, so the residual is the larger of
+    |F F^T - 1| and |V^dag V - 1|.  Raises :class:`OrthonormalityFailure` as
+    :func:`_dilations` does.  P^dag's rows are conj(a_i) (x) conj(b_j).
+    """
+    reals, (v00, v01, v10, v11, ap0, ap1, am0, am1, bp0, bp1, bm0, bm1) = _machine_table(g)
+    (pp0, pp1, pp2, pp3, pm0, pm1, pm2, pm3, mp0, mp1, mp2, mp3, mm0, mm1, mm2, mm3,
+     cp0, cp1, cm0, cm1) = reals
+    c00, c01, c10, c11 = v00.conjugate(), v01.conjugate(), v10.conjugate(), v11.conjugate()
+    # The upper triangles of F F^T - 1 and of V^dag V - 1, written out: a generator costs more
+    residual = max(map(abs, (
+        pp0 * pp0 + pp1 * pp1 + pp2 * pp2 + pp3 * pp3 - 1.0,
+        pm0 * pm0 + pm1 * pm1 + pm2 * pm2 + pm3 * pm3 - 1.0,
+        mp0 * mp0 + mp1 * mp1 + mp2 * mp2 + mp3 * mp3 - 1.0,
+        mm0 * mm0 + mm1 * mm1 + mm2 * mm2 + mm3 * mm3 - 1.0,
+        pp0 * pm0 + pp1 * pm1 + pp2 * pm2 + pp3 * pm3,
+        pp0 * mp0 + pp1 * mp1 + pp2 * mp2 + pp3 * mp3,
+        pp0 * mm0 + pp1 * mm1 + pp2 * mm2 + pp3 * mm3,
+        pm0 * mp0 + pm1 * mp1 + pm2 * mp2 + pm3 * mp3,
+        pm0 * mm0 + pm1 * mm1 + pm2 * mm2 + pm3 * mm3,
+        mp0 * mm0 + mp1 * mm1 + mp2 * mm2 + mp3 * mm3,
+        c00 * v00 + c10 * v10 - 1.0, c01 * v01 + c11 * v11 - 1.0, c00 * v01 + c10 * v11)))
+    if not residual <= ORTHONORMALITY_TOL:
+        raise OrthonormalityFailure(residual)
+    r0, r1 = c00 * bp0 + c10 * bp1, c01 * bp0 + c11 * bp1
+    qp, qm = cp0 * r0 + cp1 * r1, cm0 * r0 + cm1 * r1
+    hpp0, hpp1 = qp * pp0 + qm * pp1, qp * pp2 + qm * pp3
+    hpm0, hpm1 = qp * pm0 + qm * pm1, qp * pm2 + qm * pm3
+    hmp0, hmp1 = qp * mp0 + qm * mp1, qp * mp2 + qm * mp3
+    hmm0, hmm1 = qp * mm0 + qm * mm1, qp * mm2 + qm * mm3
+    # t_k = h_k^T V^dag
+    tpp0, tpp1 = hpp0 * c00 + hpp1 * c01, hpp0 * c10 + hpp1 * c11
+    tpm0, tpm1 = hpm0 * c00 + hpm1 * c01, hpm0 * c10 + hpm1 * c11
+    tmp0, tmp1 = hmp0 * c00 + hmp1 * c01, hmp0 * c10 + hmp1 * c11
+    tmm0, tmm1 = hmm0 * c00 + hmm1 * c01, hmm0 * c10 + hmm1 * c11
+    # W|prod_k> = V e_i (x) w_j, w_j = V b_cj, so row 2i' + l' of K is
+    # sum_j w_j[l'] u_j, u_j = sum_i V[i'][i] s_k t_k, k = 2i + j
+    wp0, wp1 = v00 * cp0 + v01 * cp1, v10 * cp0 + v11 * cp1
+    wm0, wm1 = v00 * cm0 + v01 * cm1, v10 * cm0 + v11 * cm1
+    s_pp, s_pm, s_mp, s_mm = _CLONE_SIGNS.tolist()
+    k = []
+    for x0, x1 in ((v00, v01), (v10, v11)):
+        x_pp, x_pm, x_mp, x_mm = x0 * s_pp, x0 * s_pm, x1 * s_mp, x1 * s_mm
+        up0, up1 = x_pp * tpp0 + x_mp * tmp0, x_pp * tpp1 + x_mp * tmp1
+        um0, um1 = x_pm * tpm0 + x_mm * tmm0, x_pm * tpm1 + x_mm * tmm1
+        k += (wp0 * up0 + wm0 * um0, wp0 * up1 + wm0 * um1,
+              wp1 * up0 + wm1 * um0, wp1 * up1 + wm1 * um1)
+    ap0, ap1, am0, am1 = ap0.conjugate(), ap1.conjugate(), am0.conjugate(), am1.conjugate()
+    bp0, bp1, bm0, bm1 = bp0.conjugate(), bp1.conjugate(), bm0.conjugate(), bm1.conjugate()
+    return k, [ap0 * bp0, ap0 * bp1, ap1 * bp0, ap1 * bp1,
+               ap0 * bm0, ap0 * bm1, ap1 * bm0, ap1 * bm1,
+               am0 * bp0, am0 * bp1, am1 * bp0, am1 * bp1,
+               am0 * bm0, am0 * bm1, am1 * bm0, am1 * bm1]
+
+
 def _build_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
-    """Clone isometries K = U (1 (x) |b+>), (N, 4, 2), and P^dag = conj(P), (N, 4, 4)."""
-    u, _, _, products, b_plus = _dilations(geometries)
-    k = (u.reshape(-1, 4, 2, 2) @ b_plus[:, None, :, None]).reshape(-1, 4, 2)
-    return k, products.conj()
+    """Clone isometries K, (N, 4, 2), and P^dag = conj(P), (N, 4, 4), of a stack of N geometries.
+
+    Each geometry's machine is :func:`_machine`'s, on Python scalars, and the
+    stack is one array per output, so a machine's bits do not depend on its
+    stack.  Python's complex product rounds differently from numpy's, so an
+    array step over the stack would not keep that.
+    """
+    ks, p_dags = zip(*map(_machine, geometries))
+    return np.array(ks, complex).reshape(-1, 4, 2), np.array(p_dags, complex).reshape(-1, 4, 4)
 
 
 def _canonical_machines(alpha, beta, p, b_x, b_z) -> tuple[np.ndarray, np.ndarray]:
@@ -344,6 +416,8 @@ def _stack_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
 def _kept(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
     """The machine (K, P^dag) of one geometry, built on first use and then kept on it read-only.
 
+    The build is the stack builder's on the geometry alone, that is one
+    :func:`_machine`, so the kept bits are those of the geometry in any stack.
     A geometry is immutable, so a machine built from it stays valid for its
     lifetime.  A build that raises keeps nothing.
     """

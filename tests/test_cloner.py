@@ -487,9 +487,9 @@ def machine_geometries(rng):
 
 
 def test_machine_matches_unitary_and_product_basis(rng):
-    # K is the unitary of the same pass on |psi>|b+>, so the first reference
-    # shares U with K; the acceptance tests check K on its own.  The second
-    # reference is the product states.
+    # K is read off the factor table with no unitary, so the first reference,
+    # U's contraction with |b+>, is a second formula for it; the acceptance
+    # tests check K on its own.  The second reference is the product states.
     geometries = list(machine_geometries(rng))
     assert {0.0, 1.0} <= {g.p for g in geometries}
     assert any(g.alpha == 1.0 and g.eta == np.pi for g in geometries)
@@ -635,6 +635,35 @@ def test_orthonormality_guard_threshold(monkeypatch, gram, accepted):
             clone_pure(g, psi)
         residual = float(re.search(r"Gram residual (\S+) exceeds", str(excinfo.value)).group(1))
         assert residual == pytest.approx(np.sqrt(2.0) * eps + eps * eps, rel=1e-3)
+        assert "_clone_machine" not in g.__dict__
+
+
+@pytest.mark.parametrize("gram,accepted", [(1e-11, True), (1e-9, False)])
+def test_frame_map_unitarity_guard_threshold(monkeypatch, rng, gram, accepted):
+    # The build's Gram check also reads V^dag V - 1, at ORTHONORMALITY_TOL = 1e-10.
+    # Scaling V's first column by 1 + eps grows its squared norm by 2 eps + eps^2
+    # and leaves the factor table, so F F^T, as it was: a residual of 2 eps + eps^2.
+    original = cloner_module._machine_table
+    eps = gram / 2.0
+
+    def perturbed(g):
+        reals, complexes = original(g)
+        complexes[0] *= 1.0 + eps
+        complexes[2] *= 1.0 + eps
+        return reals, complexes
+
+    g = random_geometry(rng)
+    monkeypatch.setattr(cloner_module, "_machine_table", perturbed)
+    psi = np.array([0.6, 0.8j])
+    if accepted:
+        clone_pure(g, psi)
+        assert "_clone_machine" in g.__dict__
+    else:
+        with pytest.raises(OrthonormalityFailure) as excinfo:
+            clone_pure(g, psi)
+        assert excinfo.value.residual == pytest.approx(2.0 * eps + eps * eps, rel=1e-3)
+        residual = float(re.search(r"Gram residual (\S+) exceeds", str(excinfo.value)).group(1))
+        assert residual == pytest.approx(excinfo.value.residual, rel=1e-3)
         assert "_clone_machine" not in g.__dict__
 
 

@@ -106,8 +106,8 @@ def test_fidelity_reads_no_measurement_axes():
 
 
 SCALAR_PATH = {
-    "cloner.py": ("clone_pure", "clone_mixed", "_kept", "_machine_table", "_dilations",
-                  "_build_machines"),
+    "cloner.py": ("clone_pure", "clone_mixed", "_kept", "_machine_table", "_machine",
+                  "_dilations", "_build_machines"),
     "measurement.py": ("build_geometry", "sample_outcomes"),
 }
 

@@ -48,7 +48,11 @@ CATALOGUE = (
      "chi = cmath.phase(_dot(b, f))", "chi = -cmath.phase(_dot(b, f))"),
     ("frame-map-half-turn-reversed", "cloner.py",
      "u = cmath.exp(-0.5j * chi)", "u = cmath.exp(0.5j * chi)"),
-    ("clone-isometry-b-minus", "cloner.py", "blocks[:, 2, 0]", "blocks[:, 2, 1]"),
+    ("clone-isometry-b-minus", "cloner.py",
+     "c00 * bp0 + c10 * bp1, c01 * bp0 + c11 * bp1", "c00 * bm0 + c10 * bm1, c01 * bm0 + c11 * bm1"),
+    ("clone-isometry-sign-flipped", "cloner.py", "x0 * s_pm,", "-x0 * s_pm,"),
+    ("clone-isometry-frame-check-dropped", "cloner.py",
+     "c00 * v00 + c10 * v10 - 1.0, c01 * v01 + c11 * v11 - 1.0, c00 * v01 + c10 * v11", "0.0"),
     ("clone-unitary-unconjugated", "cloner.py",
      "(targets * _CLONE_SIGNS) @ mapped.conj().mT", "(targets * _CLONE_SIGNS) @ mapped.mT"),
     ("naimark-phases-unconjugated", "cloner.py",
