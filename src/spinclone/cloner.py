@@ -31,16 +31,16 @@ the x-z plane with b_x >= +0.0, as in every sweep) needs no frame map:
 there K and P^dag are real, and :func:`_canonical_machines` reads them off
 the factor table as arrays over the whole stack, within 1e-15 of the kept
 ones.  The table's layout is written once, in :func:`_real_row`, for a
-geometry's floats and a stack's arrays alike.  The 4x4 unitary is written
-in :func:`_dilations` alone: it maps the real canonical-frame dilation
-vectors vec_k and products prod_k once by W = V (x) V, checks the Gram
-matrix of the W vec_k, and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  The
-public :func:`clone_unitary` returns that U, and :func:`naimark_basis`
-re-phases the same W vec_k; they and :func:`product_basis` build fresh
-arrays on every call and are not on the clone path.  A clone reads its
-reduced states and Bloch vectors off the joint's entries: with J the 2x2
-reshape of a pure output, rho_a = J J^dag and rho_b = J^T J^*; for a mixed
-output they are linalg's partial traces of K rho K^dag.
+geometry's floats and a stack's arrays alike.  The 4x4 unitary comes from
+the same formula: one :func:`_machine` pass over both ancilla states gives
+K+- = U (1 (x) |b+->), and U = K+ (x) <b+| + K- (x) <b-|.  The public
+:func:`clone_unitary` returns that U, and :func:`naimark_basis` reads
+vector k off the same pass as s_k U^dag|P_k>, P_k the package product state
+of outcome k; they and :func:`product_basis` build fresh arrays on every
+call and are not on the clone path, whose pass forms K+ alone.  A clone
+reads its reduced states and Bloch vectors off the joint's entries: with J
+the 2x2 reshape of a pure output, rho_a = J J^dag and rho_b = J^T J^*; for
+a mixed output they are linalg's partial traces of K rho K^dag.
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -69,7 +69,8 @@ azimuth of b about a.  V is unitary for every pair of axes, so
 gives a valid frame.  Rounding picks it, deterministically, and where
 b.(f1 + i f2) is exactly 0 atan2(0, 0) = 0 does.  Mapped canonical
 eigenstates differ from the package convention by phases that cancel in
-the unitary, so rephasing matters only for :func:`naimark_basis` vectors.
+the unitary; :func:`naimark_basis` reads its vectors off U through the
+package product states, so they carry the package phases.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ ORTHONORMALITY_TOL = 1e-10
 #: Signs of the product states in the cloning unitary, in outcome order.
 _CLONE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
-_IDENTITY_4 = np.eye(4, dtype=complex)
+_IDENTITY_4 = np.eye(4)
 
 
 class OrthonormalityFailure(RuntimeError):
@@ -233,76 +234,21 @@ def _machine_table(g: MeasurementGeometry) -> tuple[list[float], list[complex]]:
     return reals, [*v, *a_pair[0], *a_pair[1], *b_pair[0], *b_pair[1]]
 
 
-def _dilations(geometries) -> tuple[np.ndarray, ...]:
-    """Cloning unitaries and dilations of a stack of N geometries, in one array step.
+def _machine(g: MeasurementGeometry, halves: int = 1) -> tuple[list[complex], list[complex]]:
+    """K+ (and K- if ``halves`` is 2) and P^dag of one geometry, row by row, with no unitary.
 
-    Takes each geometry's :func:`_machine_table`, maps the real canonical-frame
-    dilation vectors vec_k and products prod_k (outcome order) by W = V (x) V,
-    and forms U = sum_k s_k W|prod_k><vec_k|W^dag.  Returns U, the mapped
-    dilation vectors and products as the columns of ``mapped`` and
-    ``targets``, and the package products P = product_basis, each (N, 4, 4).
-    Raises :class:`OrthonormalityFailure` if the Gram matrix of ``mapped``
-    misses the identity by > ``ORTHONORMALITY_TOL`` on any geometry of the
-    stack.  It serves :func:`clone_unitary` and :func:`naimark_basis`; the
-    clone path's K is :func:`_machine`'s.
-    """
-    reals, complexes = zip(*map(_machine_table, geometries))
-    n = len(reals)
-    # One flat pass over the rows; np.array would first discover their nesting
-    real_blocks = np.fromiter(chain.from_iterable(reals), float, 20 * n).reshape(n, 5, 2, 2)
-    blocks = np.fromiter(chain.from_iterable(complexes), complex, 12 * n).reshape(n, 3, 2, 2)
-    # factors[k] @ (b+, b-) for each k: row i, column l holds amplitude 2i + l of vec_k
-    vecs = (real_blocks[:, :4] @ real_blocks[:, 4:]).reshape(n, 4, 4)
-    prods = _products(_A_PAIR, real_blocks[:, 4])
-    # W = V (x) V and P = a+- (x) b+-, in one product
-    kron = _products(blocks[:, :2], blocks[:, ::2])
-    w = kron[:, 0]
-    # Real factors are cast to complex up front: the values matmul's own cast gives, for less
-    mapped = w @ vecs.astype(complex).mT
-    targets = w @ prods.astype(complex).mT
-    gram = mapped.conj().mT @ mapped
-    gram -= _IDENTITY_4
-    residual = float(np.abs(gram).max())
-    if not residual <= ORTHONORMALITY_TOL:
-        raise OrthonormalityFailure(residual)
-    u = (targets * _CLONE_SIGNS) @ mapped.conj().mT
-    return u, mapped, targets, kron[:, 1]
-
-
-def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
-    """Construct the orthonormal dilation basis for a measurement geometry.
-
-    Raises :class:`OrthonormalityFailure` if the Gram matrix of the
-    constructed vectors misses the identity by more than
-    ``ORTHONORMALITY_TOL``.
-    """
-    _, mapped, targets, products = (x[0] for x in _dilations([g]))
-    # Phase of each mapped canonical product state relative to spin_eigenstates;
-    # dividing it out keeps the unitary in signed product form in that convention.
-    phases = np.einsum("kj,jk->k", products.conj(), targets)
-    vectors = (mapped * (phases.conj() / np.abs(phases))).T.copy()
-    vectors.setflags(write=False)
-    return NaimarkBasis(*vectors)
-
-
-def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
-    """Two-qubit cloning unitary U = sum_k s_k W|prod_k><vec_k|W^dag of :func:`_dilations`."""
-    return _dilations([g])[0][0]
-
-
-def _machine(g: MeasurementGeometry) -> tuple[list[complex], list[complex]]:
-    """K and P^dag of one geometry, row by row, as Python complex numbers, with no unitary.
-
+    The entries are Python complex numbers, and K+- = U (1 (x) |b+->) are the
+    two halves of the cloning unitary U; the clone path forms K = K+ alone.
     Reads :func:`_machine_table`: the factors f_k, the canonical pair b_c+-, V
-    and the package amplitudes of a and b.  U (1 (x) |b+>) meets |b+> only
+    and the package amplitudes of a and b.  U (1 (x) |b+->) meets |b+-> only
     through vec_k^dag W^dag, and vec_k = sum_j f_k[:, j] (x) b_cj, so with
-    r = V^dag|b+>, q+- = <b_c+-|r> and h_k = q+ f_k[:, 0] + q- f_k[:, 1],
-    K = W sum_k s_k |prod_k> h_k^T V^dag, prod_k = e_i (x) b_cj for k = 2i + j.
+    r = V^dag|b+->, q+- = <b_c+-|r> and h_k = q+ f_k[:, 0] + q- f_k[:, 1],
+    K+- = W sum_k s_k |prod_k> h_k^T V^dag, prod_k = e_i (x) b_cj for k = 2i + j.
     At V = 1 and q = (1, 0) this is :func:`_canonical_machines`' K_c.  The
-    Gram matrix of the W vec_k is F F^T, F the factor table flattened per k,
-    and W is unitary when V is, so the residual is the larger of
-    |F F^T - 1| and |V^dag V - 1|.  Raises :class:`OrthonormalityFailure` as
-    :func:`_dilations` does.  P^dag's rows are conj(a_i) (x) conj(b_j).
+    Gram matrix of the dilation vectors W vec_k is F F^T, F the factor table
+    flattened per k, and W is unitary when V is, so the residual is the larger
+    of |F F^T - 1| and |V^dag V - 1|; above ``ORTHONORMALITY_TOL`` it raises
+    :class:`OrthonormalityFailure`.  P^dag's rows are conj(a_i) (x) conj(b_j).
     """
     reals, (v00, v01, v10, v11, ap0, ap1, am0, am1, bp0, bp1, bm0, bm1) = _machine_table(g)
     (pp0, pp1, pp2, pp3, pm0, pm1, pm2, pm3, mp0, mp1, mp2, mp3, mm0, mm1, mm2, mm3,
@@ -323,29 +269,30 @@ def _machine(g: MeasurementGeometry) -> tuple[list[complex], list[complex]]:
         c00 * v00 + c10 * v10 - 1.0, c01 * v01 + c11 * v11 - 1.0, c00 * v01 + c10 * v11)))
     if not residual <= ORTHONORMALITY_TOL:
         raise OrthonormalityFailure(residual)
-    r0, r1 = c00 * bp0 + c10 * bp1, c01 * bp0 + c11 * bp1
-    qp, qm = cp0 * r0 + cp1 * r1, cm0 * r0 + cm1 * r1
-    hpp0, hpp1 = qp * pp0 + qm * pp1, qp * pp2 + qm * pp3
-    hpm0, hpm1 = qp * pm0 + qm * pm1, qp * pm2 + qm * pm3
-    hmp0, hmp1 = qp * mp0 + qm * mp1, qp * mp2 + qm * mp3
-    hmm0, hmm1 = qp * mm0 + qm * mm1, qp * mm2 + qm * mm3
-    # t_k = h_k^T V^dag
-    tpp0, tpp1 = hpp0 * c00 + hpp1 * c01, hpp0 * c10 + hpp1 * c11
-    tpm0, tpm1 = hpm0 * c00 + hpm1 * c01, hpm0 * c10 + hpm1 * c11
-    tmp0, tmp1 = hmp0 * c00 + hmp1 * c01, hmp0 * c10 + hmp1 * c11
-    tmm0, tmm1 = hmm0 * c00 + hmm1 * c01, hmm0 * c10 + hmm1 * c11
-    # W|prod_k> = V e_i (x) w_j, w_j = V b_cj, so row 2i' + l' of K is
+    # W|prod_k> = V e_i (x) w_j, w_j = V b_cj, so row 2i' + l' of K+- is
     # sum_j w_j[l'] u_j, u_j = sum_i V[i'][i] s_k t_k, k = 2i + j
     wp0, wp1 = v00 * cp0 + v01 * cp1, v10 * cp0 + v11 * cp1
     wm0, wm1 = v00 * cm0 + v01 * cm1, v10 * cm0 + v11 * cm1
     s_pp, s_pm, s_mp, s_mm = _CLONE_SIGNS.tolist()
     k = []
-    for x0, x1 in ((v00, v01), (v10, v11)):
-        x_pp, x_pm, x_mp, x_mm = x0 * s_pp, x0 * s_pm, x1 * s_mp, x1 * s_mm
-        up0, up1 = x_pp * tpp0 + x_mp * tmp0, x_pp * tpp1 + x_mp * tmp1
-        um0, um1 = x_pm * tpm0 + x_mm * tmm0, x_pm * tpm1 + x_mm * tmm1
-        k += (wp0 * up0 + wm0 * um0, wp0 * up1 + wm0 * um1,
-              wp1 * up0 + wm1 * um0, wp1 * up1 + wm1 * um1)
+    for b0, b1 in ((bp0, bp1), (bm0, bm1))[:halves]:
+        r0, r1 = c00 * b0 + c10 * b1, c01 * b0 + c11 * b1
+        qp, qm = cp0 * r0 + cp1 * r1, cm0 * r0 + cm1 * r1
+        hpp0, hpp1 = qp * pp0 + qm * pp1, qp * pp2 + qm * pp3
+        hpm0, hpm1 = qp * pm0 + qm * pm1, qp * pm2 + qm * pm3
+        hmp0, hmp1 = qp * mp0 + qm * mp1, qp * mp2 + qm * mp3
+        hmm0, hmm1 = qp * mm0 + qm * mm1, qp * mm2 + qm * mm3
+        # t_k = h_k^T V^dag
+        tpp0, tpp1 = hpp0 * c00 + hpp1 * c01, hpp0 * c10 + hpp1 * c11
+        tpm0, tpm1 = hpm0 * c00 + hpm1 * c01, hpm0 * c10 + hpm1 * c11
+        tmp0, tmp1 = hmp0 * c00 + hmp1 * c01, hmp0 * c10 + hmp1 * c11
+        tmm0, tmm1 = hmm0 * c00 + hmm1 * c01, hmm0 * c10 + hmm1 * c11
+        for x0, x1 in ((v00, v01), (v10, v11)):
+            x_pp, x_pm, x_mp, x_mm = x0 * s_pp, x0 * s_pm, x1 * s_mp, x1 * s_mm
+            up0, up1 = x_pp * tpp0 + x_mp * tmp0, x_pp * tpp1 + x_mp * tmp1
+            um0, um1 = x_pm * tpm0 + x_mm * tmm0, x_pm * tpm1 + x_mm * tmm1
+            k += (wp0 * up0 + wm0 * um0, wp0 * up1 + wm0 * um1,
+                  wp1 * up0 + wm1 * um0, wp1 * up1 + wm1 * um1)
     ap0, ap1, am0, am1 = ap0.conjugate(), ap1.conjugate(), am0.conjugate(), am1.conjugate()
     bp0, bp1, bm0, bm1 = bp0.conjugate(), bp1.conjugate(), bm0.conjugate(), bm1.conjugate()
     return k, [ap0 * bp0, ap0 * bp1, ap1 * bp0, ap1 * bp1,
@@ -366,6 +313,39 @@ def _build_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ks, complex).reshape(-1, 4, 2), np.array(p_dags, complex).reshape(-1, 4, 4)
 
 
+def _unitary(g: MeasurementGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """U and P^dag of one geometry, from one :func:`_machine` pass over both ancilla states.
+
+    K+- = U (1 (x) |b+->) are the pass's two halves, so U = K+ (x) <b+| + K- (x) <b-|.
+    """
+    k, p_dag = _machine(g, halves=2)
+    b_dag = np.conj(_spin_amplitudes(g.b.tolist()))  # rows <b+|, <b-|
+    # Row r, column 2i + j of U is sum_h K_h[r, i] <b_h|j>
+    u = np.array(k).reshape(2, 4, 2).transpose(1, 2, 0) @ b_dag
+    return u.reshape(4, 4), np.array(p_dag).reshape(4, 4)
+
+
+def naimark_basis(g: MeasurementGeometry) -> NaimarkBasis:
+    """Construct the orthonormal dilation basis for a measurement geometry.
+
+    Vector k is s_k U^dag|P_k>, P_k the package product state of outcome k,
+    so U maps it onto s_k |P_k>.  The vectors are the dilation vectors W vec_k
+    of :func:`_machine` up to a phase each, so its Gram check is theirs: it
+    raises :class:`OrthonormalityFailure` if their Gram matrix misses the
+    identity by more than ``ORTHONORMALITY_TOL``.
+    """
+    u, p_dag = _unitary(g)
+    # Row k of P^dag U is <P_k|U, the conjugate of U^dag|P_k>
+    vectors = (p_dag @ u).conj() * _CLONE_SIGNS[:, None]
+    vectors.setflags(write=False)
+    return NaimarkBasis(*vectors)
+
+
+def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
+    """Two-qubit cloning unitary U = K+ (x) <b+| + K- (x) <b-|, K+- = U (1 (x) |b+->)."""
+    return _unitary(g)[0]
+
+
 def _canonical_machines(alpha, beta, p, b_x, b_z) -> tuple[np.ndarray, np.ndarray]:
     """K and P^dag, as real arrays, of a stack of canonical geometries, with no unitary.
 
@@ -378,7 +358,7 @@ def _canonical_machines(alpha, beta, p, b_x, b_z) -> tuple[np.ndarray, np.ndarra
     vec_k = sum_j factors[k][:, j] (x) b_j, the Gram matrix of the vec_k is
     F F^T, F the factor tables flattened per k, and U (1 (x) |b+>) keeps the
     b+ column alone: K = sum_k s_k |prod_k><f_k+|, f_k+ = factors[k][:, 0].
-    Raises :class:`OrthonormalityFailure` as :func:`_dilations` does.
+    Raises :class:`OrthonormalityFailure` as :func:`_machine` does.
     """
     p = np.where(p < DEGENERATE_TOL, 0.0, np.where(1.0 - p < DEGENERATE_TOL, 1.0, p))
     # Signed polar angles; +0.0 keeps atan2 off the negative branch at -0.0
@@ -389,7 +369,7 @@ def _canonical_machines(alpha, beta, p, b_x, b_z) -> tuple[np.ndarray, np.ndarra
                      *map(_inplane_pair, (t_m, t_l, np.arctan2(b_x, b_z))), -cos_half, sin_e)
     blocks = np.array(rows).T.reshape(-1, 5, 2, 2)
     factors = blocks[:, :4].reshape(-1, 4, 4)
-    residual = float(np.abs(factors @ factors.mT - _IDENTITY_4.real).max())
+    residual = float(np.abs(factors @ factors.mT - _IDENTITY_4).max())
     if not residual <= ORTHONORMALITY_TOL:
         raise OrthonormalityFailure(residual)
     prods = _products(_A_PAIR, blocks[:, 4])

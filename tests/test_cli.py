@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -735,6 +736,21 @@ def test_unknown_command_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_module_entry_point_exits_with_the_command_status(monkeypatch, capsys):
+    # python -m spinclone, in this process: __main__ calls cli.entry, which
+    # exits with main's status, 0 on success and 2 for an error a command raises
+    for argv, code in ((["clone", "--alpha", "0.6", "--eta", "1.0"], 0),
+                       (["sample", "--alpha", "0.6", "--eta", "1.0", "--bloch-r", "2",
+                         "--n", "10"], 2)):
+        monkeypatch.setattr(sys, "argv", ["spinclone", *argv])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("spinclone", run_name="__main__")
+        assert excinfo.value.code == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["eta"] == 1.0
+    assert "--bloch-r" in captured.err
 
 
 @pytest.mark.parametrize("argv,flag,limit", [

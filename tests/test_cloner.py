@@ -116,7 +116,7 @@ def test_naimark_basis_detects_broken_convention(monkeypatch):
 
 def test_clone_unitary_detects_broken_convention(monkeypatch):
     # clone_unitary runs its own Gram check; it does not build the
-    # rephased basis of naimark_basis.
+    # basis of naimark_basis.
     original = cloner_module._inplane_pair
 
     def corrupted(t):
@@ -133,8 +133,9 @@ def test_clone_unitary_detects_broken_convention(monkeypatch):
 
 
 def test_clone_unitary_matches_signed_product_reference():
-    # U = sum_i s_i |prod_i><vec_i| from the rephased basis, over the
+    # U = sum_i s_i |prod_i><vec_i| from naimark_basis's vectors, over the
     # default sweep grid including alpha in {0, 1} and eta in {0, pi}.
+    # Both read one machine pass; tests/test_oracle.py checks it independently.
     worst = 0.0
     for alpha in np.linspace(0.0, 1.0, 41):
         for eta in np.linspace(0.0, np.pi, 41):
@@ -168,6 +169,9 @@ def test_clone_unitary_projective_action(rng):
 
 
 def test_clone_unitary_maps_basis_to_signed_products(rng):
+    # U and the basis come from one machine pass, so this checks how they are
+    # read off it; the independent check of K against the POVM and of its
+    # phases is tests/test_oracle.py's.
     for _ in range(50):
         g = random_geometry(rng)
         u = clone_unitary(g)
@@ -487,9 +491,11 @@ def machine_geometries(rng):
 
 
 def test_machine_matches_unitary_and_product_basis(rng):
-    # K is read off the factor table with no unitary, so the first reference,
-    # U's contraction with |b+>, is a second formula for it; the acceptance
-    # tests check K on its own.  The second reference is the product states.
+    # K is the clone path's half of the machine pass that also gives U, so
+    # the first reference, U's contraction with |b+>, checks that U's two
+    # halves recombine to it; the independent check of K, of the frame map and
+    # of the factor table comes from tests/test_oracle.py and the acceptance
+    # tests.  The second reference is the product states.
     geometries = list(machine_geometries(rng))
     assert {0.0, 1.0} <= {g.p for g in geometries}
     assert any(g.alpha == 1.0 and g.eta == np.pi for g in geometries)

@@ -49,21 +49,23 @@ CATALOGUE = (
     ("frame-map-half-turn-reversed", "cloner.py",
      "u = cmath.exp(-0.5j * chi)", "u = cmath.exp(0.5j * chi)"),
     ("clone-isometry-b-minus", "cloner.py",
-     "c00 * bp0 + c10 * bp1, c01 * bp0 + c11 * bp1", "c00 * bm0 + c10 * bm1, c01 * bm0 + c11 * bm1"),
+     "((bp0, bp1), (bm0, bm1))[:halves]", "((bm0, bm1), (bp0, bp1))[:halves]"),
+    ("clone-unitary-b-minus-reads-b-plus", "cloner.py",
+     "((bp0, bp1), (bm0, bm1))[:halves]", "((bp0, bp1), (bp0, bp1))[:halves]"),
     ("clone-isometry-sign-flipped", "cloner.py", "x0 * s_pm,", "-x0 * s_pm,"),
     ("clone-isometry-frame-check-dropped", "cloner.py",
      "c00 * v00 + c10 * v10 - 1.0, c01 * v01 + c11 * v11 - 1.0, c00 * v01 + c10 * v11", "0.0"),
     ("clone-unitary-unconjugated", "cloner.py",
-     "(targets * _CLONE_SIGNS) @ mapped.conj().mT", "(targets * _CLONE_SIGNS) @ mapped.mT"),
+     "b_dag = np.conj(_spin_amplitudes(", "b_dag = np.array(_spin_amplitudes("),
     ("naimark-phases-unconjugated", "cloner.py",
-     "products.conj(), targets", "products, targets"),
+     "vectors = (p_dag @ u).conj() *", "vectors = (p_dag @ u) *"),
     ("canonical-k-sign-flipped", "cloner.py",
      "(prods.mT * _CLONE_SIGNS) @", "(prods.mT * -_CLONE_SIGNS) @"),
     ("canonical-selection-admits-negative-b-x", "cloner.py",
      "& ~np.signbit(b_x)", "& (b_x > -1.0)"),
     ("canonical-gram-tolerance-widened", "cloner.py",
-     "factors @ factors.mT - _IDENTITY_4.real).max())",
-     "factors @ factors.mT - _IDENTITY_4.real).max()) / 100.0"),
+     "factors @ factors.mT - _IDENTITY_4).max())",
+     "factors @ factors.mT - _IDENTITY_4).max()) / 100.0"),
     # The qubit formulas
     ("inplane-pair-minus-flipped", "linalg.py",
      "return (c, s), (-s, c)", "return (c, s), (s, -c)"),

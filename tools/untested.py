@@ -11,8 +11,8 @@ line before its body.  Definitions, classes, imports and docstrings are not
 listed: they run when the module is imported, or run no code.
 
 Tests that run the package in a child process (``python -m spinclone``, the
-demos) are not traced, so the process entry points ``cli.entry`` and
-``__main__`` are always listed.
+demos) are not traced; the process entry points ``cli.entry`` and
+``__main__`` count as run because one test also runs them in process.
 
     python tools/untested.py
 
