@@ -30,17 +30,19 @@ stack whose every geometry lies in the canonical frame itself (a = z, b in
 the x-z plane with b_x >= +0.0, as in every sweep) needs no frame map:
 there K and P^dag are real, and :func:`_canonical_machines` reads them off
 the factor table as arrays over the whole stack, within 1e-15 of the kept
-ones.  The table's layout is written once, in :func:`_real_row`, for a
-geometry's floats and a stack's arrays alike.  The 4x4 unitary comes from
-the same formula: one :func:`_machine` pass over both ancilla states gives
-K+- = U (1 (x) |b+->), and U = K+ (x) <b+| + K- (x) <b-|.  The public
-:func:`clone_unitary` returns that U, and :func:`naimark_basis` reads
-vector k off the same pass as s_k U^dag|P_k>, P_k the package product state
-of outcome k; they and :func:`product_basis` build fresh arrays on every
-call and are not on the clone path, whose pass forms K+ alone.  A clone
-reads its reduced states and Bloch vectors off the joint's entries: with J
-the 2x2 reshape of a pure output, rho_a = J J^dag and rho_b = J^T J^*; for
-a mixed output they are linalg's partial traces of K rho K^dag.
+ones.  Both take the factor table from :func:`_real_row`, on a geometry's
+floats or a stack's arrays, and it reads the geometry's own p, m, l and b,
+so the frontier rule lives in :mod:`spinclone.measurement` alone.  The 4x4
+unitary comes from the same formula: one :func:`_machine` pass over both
+ancilla states gives K+- = U (1 (x) |b+->), and U = K+ (x) <b+| +
+K- (x) <b-|.  The public :func:`clone_unitary` returns that U, and
+:func:`naimark_basis` reads vector k off the same pass as s_k U^dag|P_k>,
+P_k the package product state of outcome k; they and :func:`product_basis`
+build fresh arrays on every call and are not on the clone path, whose pass
+forms K+ alone.  A clone reads its reduced states and Bloch vectors off the
+joint's entries: with J the 2x2 reshape of a pure output, rho_a = J J^dag
+and rho_b = J^T J^*; for a mixed output they are linalg's partial traces of
+K rho K^dag.
 
 Applied to |psi>|b+>, U produces a two-qubit state whose product-basis
 weights reproduce the joint outcome distribution exactly, so projective
@@ -189,47 +191,46 @@ def product_basis(g: MeasurementGeometry) -> list[np.ndarray]:
     return list(_products(pairs[0], pairs[1]))
 
 
-def _real_row(sp, sq, m_pair, l_pair, b_pair, cos_e, sin_e) -> list:
+def _real_row(p, t_m, t_l, t_b) -> list:
     """The 20 canonical-frame reals of a machine: its 16 dilation factors, then b+ and b-.
 
-    The factors are a ``(4, 2, 2)`` table: factors[k][i][j] is amplitude i of
-    the first-qubit factor of vector k that pairs with |b+> (j = 0) or |b->
-    (j = 1), in outcome order.  With |b+> come the m eigenstates and the l
-    eigenstates on the antipodal branch; with |b-> come a+, a- (the unit
-    vectors, a lying along z) and their turns by e.  The inputs are sqrt(p),
-    sqrt(1-p), the in-plane pairs of m, l and b, cos(e) and sin(e), all floats
-    or all arrays of one shape; only +, - and * act on them, so a geometry's
-    row and a stack's rows have one layout.
+    The inputs are the weight p of m and the signed polar angles of m, l and b
+    in the canonical x-z plane, floats for one geometry or arrays of one shape
+    for a stack, dispatched as in :func:`spinclone.linalg._inplane_pair`.
+    factors[k][i][j] is amplitude i of the first-qubit factor of vector k that
+    pairs with |b+> (j = 0) or |b-> (j = 1), in outcome order: with |b+> come
+    the m eigenstates and the l eigenstates on the antipodal branch, with |b->
+    a+, a- (the unit vectors, a lying along z) and their turns by e.
     """
-    ((mp0, mp1), (mm0, mm1)), ((lp0, lp1), (lm0, lm1)), (b_plus, b_minus) = m_pair, l_pair, b_pair
+    # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry;
+    # bools act as 0 and 1 on floats and arrays, and near 1, 1 - p is exact, so p + (1 - p) = 1
+    p = (p + (1.0 - p) * (1.0 - p < DEGENERATE_TOL)) * (p >= DEGENERATE_TOL)
+    sqrt = math.sqrt if isinstance(p, float) else np.sqrt
+    sp, sq = sqrt(p), sqrt(1.0 - p)
+    # e = pi - (t_m - t_l)/2, so cos(e) = -cos_half and sin(e) = sin((t_m - t_l)/2)
+    (cos_half, sin_e), _ = _inplane_pair(t_m - t_l)
+    ((mp0, mp1), (mm0, mm1)), ((lp0, lp1), (lm0, lm1)), (b_plus, b_minus) = map(
+        _inplane_pair, (t_m, t_l, t_b))
     zero = 0.0 * sq  # 0.0 for a float, zeros for an array
     return [sp * mp0, sq, sp * mp1, zero,
-            -sq * lp0, -sp * cos_e, -sq * lp1, -sp * sin_e,
-            -sq * lm0, sp * sin_e, -sq * lm1, -sp * cos_e,
+            -sq * lp0, sp * cos_half, -sq * lp1, -sp * sin_e,
+            -sq * lm0, sp * sin_e, -sq * lm1, sp * cos_half,
             sp * mm0, zero, sp * mm1, sq, *b_plus, *b_minus]
 
 
 def _machine_table(g: MeasurementGeometry) -> tuple[list[float], list[complex]]:
     """The scalar, per-geometry part of a machine build, as one real and one complex row.
 
-    Both rows are 2x2 blocks laid end to end.  The 20 reals are
-    :func:`_real_row`'s.  The 12 complex entries are V row by row, then the
-    package amplitudes of (a+, a-) and of (b+, b-).
+    Both rows are 2x2 blocks laid end to end.  The 20 reals are :func:`_real_row`'s,
+    on g.p and the polar angles of g.m, g.l and b about a, from e1.  The 12 complex
+    entries are V row by row, then the package amplitudes of (a+, a-) and of (b+, b-).
     """
     a, b = g.a.tolist(), g.b.tolist()
     e1, v, a_pair = _frame_map(a, b)
     # Signed polar angle in the canonical x-z plane; +0.0 keeps atan2 off the
     # negative branch when the x component underflows to -0.0
-    t_m, t_l, t_b = [math.atan2(_dot(n, e1) + 0.0, _dot(n, a))
-                     for n in (g.m.tolist(), g.l.tolist(), b)]
-    # e = pi - (t_m - t_l)/2, so (-cos(e), sin(e)) is the in-plane plus at t_m - t_l
-    (cos_half, sin_e), _ = _inplane_pair(t_m - t_l)
-    cos_e = -cos_half
-    # A weight below DEGENERATE_TOL is exactly 0 and its partner 1, as in build_geometry
-    p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p
-    sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    m_pair, l_pair, b_plane = map(_inplane_pair, (t_m, t_l, t_b))
-    reals = _real_row(sp, sq, m_pair, l_pair, b_plane, cos_e, sin_e)
+    reals = _real_row(g.p, *[math.atan2(_dot(n, e1) + 0.0, _dot(n, a))
+                             for n in (g.m.tolist(), g.l.tolist(), b)])
     b_pair = _spin_amplitudes(b)
     return reals, [*v, *a_pair[0], *a_pair[1], *b_pair[0], *b_pair[1]]
 
@@ -346,27 +347,23 @@ def clone_unitary(g: MeasurementGeometry) -> np.ndarray:
     return _unitary(g)[0]
 
 
-def _canonical_machines(alpha, beta, p, b_x, b_z) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_machines(p, m_x, m_z, l_x, l_z, b_x, b_z) -> tuple[np.ndarray, np.ndarray]:
     """K and P^dag, as real arrays, of a stack of canonical geometries, with no unitary.
 
     A geometry is canonical when a = (0, 0, 1) and b = (b_x, 0, b_z) with
-    b_x >= +0.0.  There V = W = 1 and b's package amplitudes are its real
-    in-plane pair, so P^dag = a+- (x) b+- is real.  The p-clamps, angles and
-    rows are :func:`_machine_table`'s, as arrays: m and l point along
-    alpha a +- beta b, l is aliased to m where p is 1, as build_geometry
-    aliases it, and where p is 0 every m term carries sqrt(p) = 0.  Since
+    b_x >= +0.0.  There V = W = 1, e1 = x and b's package amplitudes are its
+    real in-plane pair, so P^dag = a+- (x) b+- is real.  The inputs are the
+    geometries' own weight p and the x and z components of their m, l and b,
+    so the aliased axis where a weight vanishes is build_geometry's, and the
+    table is :func:`_real_row`'s on the arrays.  Since
     vec_k = sum_j factors[k][:, j] (x) b_j, the Gram matrix of the vec_k is
     F F^T, F the factor tables flattened per k, and U (1 (x) |b+>) keeps the
     b+ column alone: K = sum_k s_k |prod_k><f_k+|, f_k+ = factors[k][:, 0].
     Raises :class:`OrthonormalityFailure` as :func:`_machine` does.
     """
-    p = np.where(p < DEGENERATE_TOL, 0.0, np.where(1.0 - p < DEGENERATE_TOL, 1.0, p))
-    # Signed polar angles; +0.0 keeps atan2 off the negative branch at -0.0
-    t_m = np.arctan2(beta * b_x + 0.0, alpha + beta * b_z)
-    t_l = np.where(p == 1.0, t_m, np.arctan2(-beta * b_x + 0.0, alpha - beta * b_z))
-    (cos_half, sin_e), _ = _inplane_pair(t_m - t_l)
-    rows = _real_row(np.sqrt(p), np.sqrt(1.0 - p),
-                     *map(_inplane_pair, (t_m, t_l, np.arctan2(b_x, b_z))), -cos_half, sin_e)
+    # The polar angles of _machine_table at e1 = x, a = z; +0.0 keeps atan2 off
+    # the negative branch at -0.0
+    rows = _real_row(p, *(np.arctan2(x + 0.0, z) for x, z in ((m_x, m_z), (l_x, l_z), (b_x, b_z))))
     blocks = np.array(rows).T.reshape(-1, 5, 2, 2)
     factors = blocks[:, :4].reshape(-1, 4, 4)
     residual = float(np.abs(factors @ factors.mT - _IDENTITY_4).max())
@@ -380,16 +377,16 @@ def _stack_machines(geometries) -> tuple[np.ndarray, np.ndarray]:
     """K and P^dag of a stack for the sphere averages, keeping none on the geometries.
 
     A stack whose every geometry is canonical (see :func:`_canonical_machines`)
-    is evaluated there, as real arrays within 1e-15 of :func:`_build_machines`;
-    any other stack is built by :func:`_build_machines`, bit for bit.
+    is evaluated there, off their own p, m, l and b, as real arrays within 1e-15
+    of :func:`_build_machines`; any other stack is built there, bit for bit.
     """
-    rows = [(g.alpha, g.beta, g.p, *g.a.tolist(), *g.b.tolist()) for g in geometries]
-    alpha, beta, p, a_x, a_y, a_z, b_x, b_y, b_z = np.fromiter(
-        chain.from_iterable(rows), float, 9 * len(rows)).reshape(-1, 9).T
+    rows = [(g.p, *g.a.tolist(), *g.b.tolist(), *g.m.tolist(), *g.l.tolist()) for g in geometries]
+    p, a_x, a_y, a_z, b_x, b_y, b_z, m_x, _, m_z, l_x, _, l_z = np.fromiter(
+        chain.from_iterable(rows), float, 13 * len(rows)).reshape(-1, 13).T
     # A -0.0 in b_x turns b's azimuth, and with it the frame, by pi
     canonical = (a_x == 0.0) & (a_y == 0.0) & (a_z == 1.0) & (b_y == 0.0) & ~np.signbit(b_x)
     if canonical.all():
-        return _canonical_machines(alpha, beta, p, b_x, b_z)
+        return _canonical_machines(p, m_x, m_z, l_x, l_z, b_x, b_z)
     return _build_machines(geometries)
 
 

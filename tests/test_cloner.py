@@ -132,23 +132,6 @@ def test_clone_unitary_detects_broken_convention(monkeypatch):
         clone_unitary(derived_geometry())
 
 
-def test_clone_unitary_matches_signed_product_reference():
-    # U = sum_i s_i |prod_i><vec_i| from naimark_basis's vectors, over the
-    # default sweep grid including alpha in {0, 1} and eta in {0, pi}.
-    # Both read one machine pass; tests/test_oracle.py checks it independently.
-    worst = 0.0
-    for alpha in np.linspace(0.0, 1.0, 41):
-        for eta in np.linspace(0.0, np.pi, 41):
-            g = geometry_from_angles(alpha, beta_max(alpha, eta), eta)
-            reference = sum(
-                sign * np.outer(prod, vec.conj())
-                for sign, prod, vec in zip((1, 1, -1, -1), product_basis(g),
-                                           naimark_basis(g).vectors)
-            )
-            worst = max(worst, np.max(np.abs(clone_unitary(g) - reference)))
-    assert worst <= 1e-14
-
-
 def test_clone_unitary_is_unitary(rng):
     for _ in range(300):
         u = clone_unitary(random_geometry(rng))
@@ -168,16 +151,30 @@ def test_clone_unitary_projective_action(rng):
         assert np.linalg.norm(out - expected) < 1e-12
 
 
+def signed_product_cases(rng):
+    # (U, [(s_k, n_k, P_k)]) over the machine geometries and a coarse canonical
+    # grid with alpha in {0, 1} and eta in {0, pi}.  U and the basis come from one
+    # machine pass, so the two tests below check how they are read off it; the
+    # independent check of K against the POVM and of its phases is
+    # tests/test_oracle.py's.
+    grid = [geometry_from_angles(alpha, beta_max(alpha, eta), eta)
+            for alpha in np.linspace(0.0, 1.0, 5) for eta in np.linspace(0.0, np.pi, 5)]
+    for g in [*machine_geometries(rng), *grid]:
+        yield clone_unitary(g), list(zip((1, 1, -1, -1), naimark_basis(g).vectors,
+                                         product_basis(g)))
+
+
+def test_clone_unitary_matches_signed_product_reference(rng):
+    # U = sum_k s_k |P_k><n_k|.
+    for u, terms in signed_product_cases(rng):
+        reference = sum(sign * np.outer(prod, vec.conj()) for sign, vec, prod in terms)
+        assert np.max(np.abs(u - reference)) <= 1e-14
+
+
 def test_clone_unitary_maps_basis_to_signed_products(rng):
-    # U and the basis come from one machine pass, so this checks how they are
-    # read off it; the independent check of K against the POVM and of its
-    # phases is tests/test_oracle.py's.
-    for _ in range(50):
-        g = random_geometry(rng)
-        u = clone_unitary(g)
-        basis = naimark_basis(g)
-        products = product_basis(g)
-        for sign, vec, prod in zip((1, 1, -1, -1), basis.vectors, products):
+    # U n_k = s_k P_k.
+    for u, terms in signed_product_cases(rng):
+        for sign, vec, prod in terms:
             assert np.linalg.norm(u @ vec - sign * prod) < 1e-12
 
 

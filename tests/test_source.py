@@ -105,6 +105,22 @@ def test_fidelity_reads_no_measurement_axes():
     assert reads == []
 
 
+def test_cloner_reads_no_sharpness():
+    # Both machine evaluators read the geometry's own p, m and l, so the
+    # frontier rule that derives them from alpha and beta stays in measurement.
+    path = PACKAGE / "cloner.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sharpness = {"alpha", "beta"}
+    reads = sorted(
+        f"{node.lineno}:{ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in sharpness
+        or isinstance(node, ast.Name) and node.id in sharpness
+        or isinstance(node, ast.arg) and node.arg in sharpness
+    )
+    assert reads == []
+
+
 SCALAR_PATH = {
     "cloner.py": ("clone_pure", "clone_mixed", "_kept", "_machine_table", "_machine",
                   "_unitary", "_build_machines"),

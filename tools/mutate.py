@@ -42,8 +42,7 @@ CATALOGUE = (
     ("clone-amplitudes-conjugated", "cloner.py",
      "lambdas = p_dag @ joint", "lambdas = p_dag.conj() @ joint"),
     ("machine-p-clamp-1e-6", "cloner.py",
-     "p = 0.0 if g.p < DEGENERATE_TOL else 1.0 if 1.0 - g.p < DEGENERATE_TOL else g.p",
-     "p = 0.0 if g.p < 1e-6 else 1.0 if 1.0 - g.p < 1e-6 else g.p"),
+     "(1.0 - p < DEGENERATE_TOL)) * (p >= DEGENERATE_TOL)", "(1.0 - p < 1e-6)) * (p >= 1e-6)"),
     ("frame-map-chi-negated", "cloner.py",
      "chi = cmath.phase(_dot(b, f))", "chi = -cmath.phase(_dot(b, f))"),
     ("frame-map-half-turn-reversed", "cloner.py",
@@ -63,6 +62,9 @@ CATALOGUE = (
      "(prods.mT * _CLONE_SIGNS) @", "(prods.mT * -_CLONE_SIGNS) @"),
     ("canonical-selection-admits-negative-b-x", "cloner.py",
      "& ~np.signbit(b_x)", "& (b_x > -1.0)"),
+    ("canonical-l-reads-m", "cloner.py",
+     "return _canonical_machines(p, m_x, m_z, l_x, l_z,",
+     "return _canonical_machines(p, m_x, m_z, m_x, m_z,"),
     ("canonical-gram-tolerance-widened", "cloner.py",
      "factors @ factors.mT - _IDENTITY_4).max())",
      "factors @ factors.mT - _IDENTITY_4).max()) / 100.0"),
